@@ -200,9 +200,9 @@ func BenchmarkFigure6Solvers(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelScaling measures the tile-parallel exact solver and the
-// set-sharded simulator on Hydro across worker counts, against the
-// sequential seed paths (one worker, memoization off). The CI bench smoke
+// BenchmarkParallelScaling measures the tile-parallel exact solver on Hydro
+// across worker counts, against the sequential seed path (one worker,
+// memoization off) and the simulator. The CI bench smoke
 // job gates on these numbers: with GOMAXPROCS >= 4 the parallel solver
 // must not be slower than the sequential one.
 func BenchmarkParallelScaling(b *testing.B) {
@@ -231,14 +231,6 @@ func BenchmarkParallelScaling(b *testing.B) {
 			cachemodel.Simulate(np, cfg)
 		}
 	})
-	for _, w := range []int{2, 4, 8} {
-		w := w
-		b.Run(fmt.Sprintf("Simulate/sharded_w%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				trace.SimulateSharded(np, cfg, w)
-			}
-		})
-	}
 }
 
 // ---------------------------------------------------------------------

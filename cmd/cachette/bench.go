@@ -96,7 +96,7 @@ type benchReport struct {
 // cmdBench times the solver variants against each other on one program and
 // emits a machine-readable BENCH_solvers.json: the sequential seed path
 // (one worker, no memo), the memoized sequential solver, the tile-parallel
-// solver, and the sequential vs set-sharded simulator. With -check it also
+// solver, and the exact LRU simulator. With -check it also
 // verifies that every variant produces counts bit-identical to the
 // sequential baseline and fails otherwise.
 func cmdBench(args []string) error {
@@ -293,9 +293,9 @@ func cmdBench(args []string) error {
 	parRow.SymbolicPct = pct
 	rep.Results = append(rep.Results, parRow)
 
-	var simSeq, simShard *trace.SimResult
-	var simSeqDur, simShardDur time.Duration
 	if !*noSim {
+		var simSeq *trace.SimResult
+		var simSeqDur time.Duration
 		for i := 0; i < *repeat; i++ {
 			t0 := time.Now()
 			simSeq, _ = trace.SimulateCtx(ctx, np, cfg, budget.Budget{})
@@ -310,24 +310,6 @@ func cmdBench(args []string) error {
 		}
 		sr.MissRatio = simSeq.MissRatio()
 		rep.Results = append(rep.Results, sr)
-
-		for i := 0; i < *repeat; i++ {
-			t0 := time.Now()
-			simShard, _ = trace.SimulateShardedCtx(ctx, np, cfg, cache.FetchOnWrite, budget.Budget{}, *workers)
-			if d := time.Since(t0); i == 0 || d < simShardDur {
-				simShardDur = d
-			}
-		}
-		ss := benchResult{Name: fmt.Sprintf("simulate_sharded_w%d", *workers), Workers: *workers, Ns: simShardDur.Nanoseconds(), Points: simShard.Accesses}
-		if simShard.Accesses > 0 {
-			ss.NsPerPoint = float64(simShardDur.Nanoseconds()) / float64(simShard.Accesses)
-			ss.PointsPerS = float64(simShard.Accesses) / simShardDur.Seconds()
-		}
-		if simShardDur > 0 {
-			ss.Speedup = float64(simSeqDur.Nanoseconds()) / float64(simShardDur.Nanoseconds())
-		}
-		ss.MissRatio = simShard.MissRatio()
-		rep.Results = append(rep.Results, ss)
 	}
 	if err := pstop(); err != nil {
 		return err
@@ -342,29 +324,6 @@ func cmdBench(args []string) error {
 		}
 		if err := sameReport(seqRep, parRep, "findmisses_parallel"); err != nil {
 			return err
-		}
-		if simSeq != nil && simShard != nil {
-			if simSeq.Accesses != simShard.Accesses || simSeq.Misses != simShard.Misses {
-				return fmt.Errorf("bench -check: sharded simulator diverged: %d/%d accesses, %d/%d misses",
-					simShard.Accesses, simSeq.Accesses, simShard.Misses, simSeq.Misses)
-			}
-			// Regression gate on the single-shard bypass: with one
-			// effective shard the sharded entry point dispatches straight
-			// to the sequential simulator, so (best-of-repeat both sides)
-			// it can only trail simulate_seq by timer jitter. A bigger
-			// deficit means the bypass broke and the w1 path is paying
-			// queue and merge overhead again.
-			effShards := *workers
-			if effShards == 0 {
-				effShards = runtime.GOMAXPROCS(0)
-			}
-			if ns := cfg.NumSets(); int64(effShards) > ns {
-				effShards = int(ns)
-			}
-			if effShards <= 1 && simShardDur > simSeqDur+simSeqDur/4 {
-				return fmt.Errorf("bench -check: single-shard simulator bypass regressed: sharded %v vs sequential %v (tolerance 1.25x)",
-					simShardDur, simSeqDur)
-			}
 		}
 		fmt.Fprintln(os.Stderr, "cachette bench: all variants bit-identical to the sequential baseline")
 		// Performance gate: on a machine with real parallelism the

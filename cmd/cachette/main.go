@@ -345,7 +345,6 @@ func cmdSimulate(args []string) error {
 	size := fs.Int64("size", 32, "problem size")
 	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
 	cs, ls, assoc := cacheFlags(fs)
-	workers := fs.Int("workers", 1, "set-sharded parallel replay workers (0 = GOMAXPROCS, 1 = sequential)")
 	timeout, maxPoints, maxScan, _ := budgetFlags(fs)
 	pstart, pstop, _ := profileFlags(fs)
 	fs.Parse(args)
@@ -365,13 +364,7 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	b := budget.Budget{Deadline: *timeout, MaxPoints: *maxPoints, MaxScan: *maxScan}
-	var res *trace.SimResult
-	var ierr error
-	if *workers == 1 {
-		res, ierr = trace.SimulateCtx(ctx, np, cfg, b)
-	} else {
-		res, ierr = trace.SimulateShardedCtx(ctx, np, cfg, cache.FetchOnWrite, b, *workers)
-	}
+	res, ierr := trace.SimulateCtx(ctx, np, cfg, b)
 	if perr := pstop(); perr != nil {
 		return perr
 	}

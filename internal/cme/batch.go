@@ -18,7 +18,6 @@ import (
 	"cachemodel/internal/layout"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/poly"
-	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
 	"cachemodel/internal/trace"
 )
@@ -74,7 +73,7 @@ type BatchOptions struct {
 	Workers int
 	// Budget caps the whole batch (shared across candidates). On
 	// exhaustion each candidate's unfinished references walk the same
-	// degradation ladder as the solo solvers (sampled fallback, then
+	// degradation ladder as a single-geometry solve (sampled fallback, then
 	// probabilistic), with per-candidate Degraded/Tier provenance. The
 	// zero value imposes no limits.
 	Budget budget.Budget
@@ -103,8 +102,8 @@ type BatchOptions struct {
 //     stopping position and verdict — bit-identical to per-candidate
 //     FindMisses, including the logical scan counts;
 //   - the work items of all fused groups — (candidate group, reference,
-//     tile) — feed one pool, tiled exactly like findTiled, and the
-//     per-tile partial counts merge deterministically in item order.
+//     tile) — feed one pool, and the per-tile partial counts merge
+//     deterministically in item order.
 //
 // Sampled candidates (Plan != nil) are not fused — each (candidate,
 // reference) is one pool item — but they share the Prepared state and the
@@ -115,7 +114,7 @@ type BatchOptions struct {
 // Duplicate candidates inside one call are solved once and copied.
 // SolveBatch honours ctx cancellation (returning cerr.ErrCanceled with
 // the completed candidates' reports in place) and opt.Budget (degrading
-// per candidate like the solo solvers). A candidate that cannot be
+// per candidate like a single-geometry solve). A candidate that cannot be
 // solved at all — invalid configuration, failed layout — does not abort
 // the batch: its report stays nil and the call returns a *BatchError
 // naming every such candidate alongside the solved reports.
@@ -130,12 +129,12 @@ func (p *Prepared) SolveBatch(ctx context.Context, cands []Candidate, opt BatchO
 			errs[i] = fmt.Errorf("candidate %d (%s): %w", i, cands[i].Label, err)
 		}
 	}
-	workers := opt.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	run := solveRun{workers: opt.Workers, stage: "solve.batch"}
+	if run.workers == 0 {
+		run.workers = runtime.GOMAXPROCS(0)
 	}
 	span.SetAttr("candidates", len(cands))
-	span.SetAttr("workers", workers)
+	span.SetAttr("workers", run.workers)
 	mBatchCands.Add(int64(len(cands)))
 	if opt.Plan != nil {
 		if err := opt.Plan.Validate(); err != nil {
@@ -177,7 +176,7 @@ func (p *Prepared) SolveBatch(ctx context.Context, cands []Candidate, opt BatchO
 			}
 			continue
 		}
-		if err := p.solveLayoutGroup(ctx, m, col, cands, idxs, key, mode, opt, workers, reports, errs); err != nil {
+		if err := p.solveLayoutGroup(ctx, m, col, cands, idxs, mode, opt, run, reports, errs); err != nil {
 			// Cancellation / hard budget failure: abort the whole batch.
 			stampBatch(reports, start)
 			return reports, err
@@ -286,7 +285,7 @@ func candKey(cfg cache.Config) string {
 // already applied and warmed) and fills their reports. Per-candidate
 // construction failures land in errs; the returned error is reserved for
 // whole-batch aborts (cancellation, NoFallback budget exhaustion).
-func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *obs.Collector, cands []Candidate, idxs []int, layoutID string, mode solveMode, opt BatchOptions, workers int, reports []*Report, errs map[int]error) error {
+func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *obs.Collector, cands []Candidate, idxs []int, mode solveMode, opt BatchOptions, run solveRun, reports []*Report, errs map[int]error) error {
 	// Deduplicate identical (geometry, mode) candidates inside the group.
 	firstOf := map[string]int{}
 	var solve []int // candidate indices that actually solve
@@ -309,16 +308,10 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 			errs[ci] = fmt.Errorf("candidate %d (%s): %w", ci, cands[ci].Label, err)
 			continue
 		}
-		cs := &batchCand{ci: ci, label: cands[ci].Label, a: a,
-			rep:  &Report{Config: cands[ci].Config, Sampled: mode.sampled},
-			keys: make([]string, len(p.np.Refs)),
-			need: make([]bool, len(p.np.Refs)),
-		}
-		cs.rep.Refs = make([]*RefReport, len(p.np.Refs))
-		for ri, r := range p.np.Refs {
-			cs.rep.Refs[ri] = &RefReport{Ref: r, Volume: p.spaces[r.Stmt].Volume()}
-			cs.need[ri] = true
-			if opt.Cache != nil {
+		cs := p.newBatchCand(ci, cands[ci].Label, a, mode.sampled)
+		if opt.Cache != nil {
+			cs.keys = make([]string, len(p.np.Refs))
+			for ri, r := range p.np.Refs {
 				cs.keys[ri] = refKey(p.Digest(), r, p.np, cands[ci].Config, mode)
 				if v, ok := opt.Cache.get(cs.keys[ri]); ok {
 					v.fill(cs.rep.Refs[ri])
@@ -332,7 +325,7 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 
 	var serr error
 	if mode.sampled {
-		serr = p.solveSampled(ctx, m, col, states, *opt.Plan, workers)
+		serr = p.solveSampled(ctx, m, col, states, *opt.Plan, run)
 	} else {
 		// Geometry-parametric tier (geom.go): plan columns first — it
 		// clears the need masks of members it will answer in closed form,
@@ -352,9 +345,9 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 			}
 			gp = p.planGeom(states, gopt)
 		}
-		serr = p.solveExactFused(ctx, m, col, states, workers)
+		serr = p.solveExactFused(ctx, m, col, states, run)
 		if gp != nil {
-			serr = p.finishGeom(ctx, m, col, workers, gp, serr)
+			serr = p.finishGeom(ctx, m, col, run, gp, serr)
 		}
 	}
 	// Publish solved results to the cache BEFORE any degradation:
@@ -370,27 +363,15 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 			}
 		}
 	}
-	// Degradation ladder for whatever the budget cut short, mirroring the
-	// solo solvers per candidate.
+	// Degradation ladder for whatever the budget cut short, per candidate.
 	fallback := sampling.DefaultFallback
 	if mode.sampled {
 		fallback = mode.plan
 	}
-	derr := p.degradeBatch(m, states, fallback)
+	derr := p.degradeBatch(ctx, m, states, fallback)
 	if derr == nil && serr != nil {
 		// Cancellation observed by the solver pool on an unlimited meter.
 		derr = serr
-	}
-	for _, cs := range states {
-		cs.rep.Tier = TierExact
-		for _, rr := range cs.rep.Refs {
-			if rr.Tier > cs.rep.Tier {
-				cs.rep.Tier = rr.Tier
-			}
-			if rr.Sampled {
-				cs.rep.Sampled = true
-			}
-		}
 	}
 	for dup, src := range dupOf {
 		if reports[src] == nil {
@@ -402,31 +383,35 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 	return derr
 }
 
-// degradeBatch walks the degradation ladder for every candidate with
-// budget-interrupted references, exactly as Analyzer.degrade does for a
-// solo run: one shared Grace re-arms the meter, incomplete exact-tier
-// refs are resampled under the fallback plan, and whatever still cannot
-// finish drops to the closed-form probabilistic baseline. Cancellation
-// and NoFallback budgets abort instead of degrading.
-func (p *Prepared) degradeBatch(m *budget.Meter, states []*batchCand, fallback sampling.Plan) error {
+// degradeBatch is the degradation ladder: it inspects the outcome of a
+// solver pass and walks the remaining rungs for every candidate with
+// budget-interrupted references. One shared Grace re-arms the meter,
+// incomplete exact-tier refs are resampled under the fallback plan (the
+// paper's widened interval when coming from the exact solver), and
+// whatever still cannot finish drops to the closed-form probabilistic
+// baseline. Cancellation and NoFallback budgets abort instead of
+// degrading. Every candidate's report leaves with its provenance stamped.
+func (p *Prepared) degradeBatch(ctx context.Context, m *budget.Meter, states []*batchCand, fallback sampling.Plan) error {
 	err := m.Err()
 	stamp := func() {
 		for _, cs := range states {
-			cs.rep.BudgetSpent = m.Spent()
+			cs.rep.finalize(m)
 		}
 	}
 	if err == nil {
 		stamp()
 		return nil
 	}
-	// As in the solo ladder: cancellation, isolated panics and injected
-	// transient faults abort typed instead of degrading — their partial
-	// counts carry no guarantee worth papering over.
+	// Cancellation means stop, not degrade; a panic or injected transient
+	// fault means the counts carry no guarantee — degrading would launder a
+	// crash into a plausible-looking number. All three surface typed.
 	if errors.Is(err, cerr.ErrCanceled) || errors.Is(err, cerr.ErrPanic) ||
 		errors.Is(err, cerr.ErrTransient) || m.NoFallback() {
 		stamp()
 		return err
 	}
+	_, dspan := obs.StartSpan(ctx, "degrade")
+	defer dspan.End()
 	incomplete := func(cs *batchCand) bool {
 		for _, rr := range cs.rep.Refs {
 			if !rr.Complete {
@@ -435,6 +420,8 @@ func (p *Prepared) degradeBatch(m *budget.Meter, states []*batchCand, fallback s
 		}
 		return false
 	}
+	// TierSampled rung, for references the exact pass left unfinished.
+	// Skip it if this pass already was the sampling pass.
 	firstIncompleteTier := TierProbabilistic
 	for _, cs := range states {
 		for _, rr := range cs.rep.Refs {
@@ -449,7 +436,7 @@ func (p *Prepared) degradeBatch(m *budget.Meter, states []*batchCand, fallback s
 			if !incomplete(cs) {
 				continue
 			}
-			serr := cs.a.resampleIncomplete(m, cs.rep, fallback)
+			serr := p.resampleIncomplete(m, cs, fallback)
 			cs.rep.Degraded = true
 			if serr != nil && errors.Is(serr, cerr.ErrCanceled) {
 				stamp()
@@ -457,6 +444,7 @@ func (p *Prepared) degradeBatch(m *budget.Meter, states []*batchCand, fallback s
 			}
 		}
 	}
+	// Probabilistic rung: closed-form, no iteration walks, cannot exhaust.
 	for _, cs := range states {
 		if incomplete(cs) {
 			cs.a.probIncomplete(cs.rep)
@@ -464,6 +452,13 @@ func (p *Prepared) degradeBatch(m *budget.Meter, states []*batchCand, fallback s
 		}
 	}
 	stamp()
+	tier := TierExact
+	for _, cs := range states {
+		if cs.rep.Tier > tier {
+			tier = cs.rep.Tier
+		}
+	}
+	dspan.SetAttr("tier", tier.String())
 	return nil
 }
 
@@ -496,13 +491,49 @@ type batchCand struct {
 	need  []bool
 }
 
+// newBatchCand starts the solve state of one candidate with an empty
+// report that needs every reference.
+func (p *Prepared) newBatchCand(ci int, label string, a *Analyzer, sampled bool) *batchCand {
+	cs := &batchCand{ci: ci, label: label, a: a,
+		rep:  &Report{Config: a.cfg, Sampled: sampled, Refs: make([]*RefReport, len(p.np.Refs))},
+		need: make([]bool, len(p.np.Refs)),
+	}
+	for ri, r := range p.np.Refs {
+		cs.rep.Refs[ri] = &RefReport{Ref: r, Volume: p.spaces[r.Stmt].Volume()}
+		cs.need[ri] = true
+	}
+	return cs
+}
+
+// solveRun carries the pool settings of one solver pass.
+type solveRun struct {
+	workers int
+	// stage names the pass's progress stream: "solve.batch" for
+	// SolveBatch, "solve.exact" or "solve.sampled" for a single-geometry
+	// solve.
+	stage string
+	// solo marks a single-geometry solve (FindMissesCtx or
+	// EstimateMissesCtx): its progress events name references, not
+	// candidates, and it stays out of the batch fusion histogram. At one
+	// worker it also solves reference by reference (see perRef).
+	solo bool
+}
+
+// perRef reports whether the pass solves reference by reference: each
+// reference in one tile, with the budget probe drained after it, so a
+// one-worker single-geometry solve flushes its budget checkpoints at
+// reference boundaries and its spend never mixes two references' points
+// in one flush.
+func (r solveRun) perRef() bool { return r.solo && r.workers == 1 }
+
 // solveSampled runs the sampled solver for every needed (candidate,
-// reference) pair as one pool of items. Bit-identity with per-candidate
-// EstimateMisses comes for free: the sampling RNG is seeded per
-// reference, independently of the geometry, and each item replays exactly
-// the solo code path (including the Adaptive stopping rule when the
+// reference) pair as one pool of items. Each worker classifies with one
+// one-candidate classifier per candidate. Bit-identity with
+// per-candidate EstimateMisses comes for free: the sampling RNG is seeded
+// per reference, independently of the geometry, and each item runs the
+// same sampling pass (including the Adaptive stopping rule when the
 // Prepared Options enable it).
-func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.Collector, states []*batchCand, plan sampling.Plan, workers int) error {
+func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.Collector, states []*batchCand, plan sampling.Plan, run solveRun) error {
 	type item struct {
 		cs *batchCand
 		ri int
@@ -526,12 +557,18 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 	var wg sync.WaitGroup
 	var canceled bool
 	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
+	for w := 0; w < run.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer guardWorker(m)
 			walker := trace.NewWalker(p.np)
+			fcs := map[*batchCand]*fusedClassifier{}
+			defer func() {
+				for _, fc := range fcs {
+					fc.release()
+				}
+			}()
 			var pb *budget.Probe
 			if limited {
 				pb = m.Probe()
@@ -547,20 +584,28 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 				if m.Err() != nil {
 					return // another worker tripped the meter
 				}
-				a := it.cs.a
-				c := a.newClassifierW(walker)
-				work := a.sampleWorker(plan)
+				c := fcs[it.cs]
+				if c == nil {
+					c = newFusedClassifier(newFuseGroup(it.cs.a.ls, it.cs), walker, p)
+					fcs[it.cs] = c
+				}
 				r := p.np.Refs[it.ri]
 				rr := it.cs.rep.Refs[it.ri]
-				if a.opt.ProfileLabels {
+				if p.opt.ProfileLabels {
 					pprof.Do(context.Background(),
 						pprof.Labels("candidate", it.cs.label, "ref", r.ID, "tile", "full"),
-						func(context.Context) { work(c, r, rr, pb) })
+						func(context.Context) { p.sampleRef(c, plan, r, rr, pb) })
 				} else {
-					work(c, r, rr, pb)
+					p.sampleRef(c, plan, r, rr, pb)
 				}
-				c.release()
-				col.AddProgress("solve.batch", rr.Analyzed, planned, it.cs.label+"/"+r.ID)
+				if pb != nil && run.perRef() {
+					pb.Drain()
+				}
+				label := it.cs.label + "/" + r.ID
+				if run.solo {
+					label = r.ID
+				}
+				col.AddProgress(run.stage, rr.Analyzed, planned, label)
 			}
 		}()
 	}
@@ -576,40 +621,33 @@ func (p *Prepared) solveSampled(ctx context.Context, m *budget.Meter, col *obs.C
 // memory line, its cold equations and hence its deciding reuse vector are
 // identical for every candidate, so one interval walk decides them all.
 type fuseGroup struct {
-	lineBytes int64
-	vecs      map[*ir.NRef][]*reuse.Vector
-	memo      map[*reuse.Vector]memoInfo
-	sym       map[*ir.NRef]*refSym
-	cands     []*batchCand
+	ls    *lineShared
+	cands []*batchCand
 	// active[ri] lists the candidate positions (into cands) that still
 	// need reference ri (result-cache misses).
 	active [][]int
 }
 
-// solveExactFused is the fused exact solver of SolveBatch: candidates are
-// bucketed by line size, each bucket's (reference, tile) items are solved
-// for all bucket candidates in one pass, and all buckets share one pool.
-// When non-uniform (dynamic) reuse is enabled the fused walk would also
-// have to fuse classifyDynamic, so each candidate degenerates to its own
-// bucket and the plain per-candidate classifier runs instead — still on
-// the shared pool and shared Prepared state.
-func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *obs.Collector, states []*batchCand, workers int) error {
-	// Bucket candidates by line size (or singleton buckets under dynamic
-	// reuse, where the fused classifier does not apply).
+// newFuseGroup groups candidates that share the line state ls.
+func newFuseGroup(ls *lineShared, cands ...*batchCand) *fuseGroup {
+	return &fuseGroup{ls: ls, cands: cands}
+}
+
+// solveExactFused is the exact solver, for SolveBatch and for the
+// single-geometry FindMisses alike: candidates are bucketed by line size,
+// each bucket's (reference, tile) items are solved for all bucket
+// candidates in one pass, and all buckets share one pool. When non-uniform
+// (dynamic) reuse is enabled each candidate gets its own bucket: dynamic
+// reuse is resolved per candidate (see fusedClassifier.classifyDynamic).
+func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *obs.Collector, states []*batchCand, run solveRun) error {
 	groups := map[int64]*fuseGroup{}
 	var order []*fuseGroup
 	for _, cs := range states {
 		lb := cs.a.cfg.LineBytes
-		if p.opt.Reuse.NonUniform {
-			lb = -1 // sentinel: never share
-		}
 		g := groups[lb]
-		if g == nil || lb == -1 {
-			ls := p.lineState(cs.a.cfg.LineBytes)
-			g = &fuseGroup{lineBytes: cs.a.cfg.LineBytes, vecs: ls.vecs, memo: ls.memo, sym: ls.sym}
-			if lb != -1 {
-				groups[lb] = g
-			}
+		if g == nil || p.dyn != nil {
+			g = newFuseGroup(cs.a.ls)
+			groups[lb] = g
 			order = append(order, g)
 		}
 		g.cands = append(g.cands, cs)
@@ -625,8 +663,11 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 		}
 	}
 
-	// Work items: (group, ref, tile), tiled proportionally to volume as in
-	// findTiled so one dominant nest spreads across the pool.
+	// Work items: (group, ref, tile). Every reference's RIS is split into
+	// tiles in proportion to its share of the program's points, so one
+	// dominant nest spreads across the pool. Because the tiles of one
+	// reference partition its RIS and every aggregate is a sum, the merged
+	// report is bit-identical at any worker count or scheduling order.
 	type tileItem struct {
 		g    *fuseGroup
 		ri   int
@@ -639,7 +680,7 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 	for _, r := range p.np.Refs {
 		totVol += p.spaces[r.Stmt].Volume()
 	}
-	target := int64(tileFactor * workers)
+	target := int64(tileFactor * run.workers)
 	var items []*tileItem
 	for _, g := range order {
 		for ri, r := range p.np.Refs {
@@ -647,20 +688,20 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 				continue
 			}
 			vol := p.spaces[r.Stmt].Volume()
-			n := 1
-			if totVol > 0 {
-				n = int((vol*target + totVol - 1) / totVol)
-				if n < 1 {
-					n = 1
+			tiles := []poly.Tile{poly.FullTile()}
+			if !run.perRef() && totVol > 0 {
+				n := int((vol*target + totVol - 1) / totVol) // ceil of the proportional share
+				// Keep the reference's best replication dimension
+				// contiguous so tiling does not truncate symbolic runs.
+				// The choice is independent of Options.NoSymbolic so
+				// both modes tile identically.
+				avoid := -1
+				if sym := g.ls.symInfo()[r]; sym != nil {
+					avoid = sym.avoid
 				}
+				tiles = p.spaces[r.Stmt].TilesAvoiding(n, avoid)
 			}
-			// As in findTiled, tile choice derives from the symbolic info
-			// regardless of NoSymbolic so both modes tile identically.
-			avoid := -1
-			if sym := g.sym[r]; sym != nil {
-				avoid = sym.avoid
-			}
-			for _, t := range p.spaces[r.Stmt].TilesAvoiding(n, avoid) {
+			for _, t := range tiles {
 				items = append(items, &tileItem{g: g, ri: ri, tile: t,
 					parts: make([]RefReport, len(g.active[ri]))})
 			}
@@ -684,7 +725,7 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var canceled bool
-	for w := 0; w < workers; w++ {
+	for w := 0; w < run.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -711,16 +752,19 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 				fc := fcs[it.g]
 				if fc == nil {
 					fc = newFusedClassifier(it.g, walker, p)
+					if !run.solo {
+						fc.hCands = mFusedCandidates.NewLocal()
+					}
 					fcs[it.g] = fc
 				}
 				var rerr error
-				run := func() { rerr = fc.runTile(ctx, it.ri, it.tile, it.g.active[it.ri], it.parts, pb) }
+				solve := func() { rerr = fc.solveTile(ctx, it.ri, it.tile, it.g.active[it.ri], it.parts, pb) }
 				if p.opt.ProfileLabels {
 					pprof.Do(context.Background(),
 						pprof.Labels("candidate", it.g.candLabel(it.ri), "ref", p.np.Refs[it.ri].ID, "tile", tileLabel(it.tile)),
-						func(context.Context) { run() })
+						func(context.Context) { solve() })
 				} else {
-					run()
+					solve()
 				}
 				if rerr != nil {
 					return // meter tripped; the merge leaves this ref incomplete
@@ -732,17 +776,22 @@ func (p *Prepared) solveExactFused(ctx context.Context, m *budget.Meter, col *ob
 					return
 				}
 				it.done = true
+				if pb != nil && run.perRef() {
+					pb.Drain()
+				}
 				var delta int64
 				for k := range it.parts {
 					delta += it.parts[k].Analyzed
 				}
-				col.AddProgress("solve.batch", delta, progTotal, p.np.Refs[it.ri].ID)
+				col.AddProgress(run.stage, delta, progTotal, p.np.Refs[it.ri].ID)
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Deterministic merge in item order, exactly as findTiled.
+	// Deterministic merge: per-reference sums over its tiles, in item
+	// order. A reference is Complete only if all its tiles ran to
+	// completion.
 	complete := map[*fuseGroup][]bool{}
 	for _, g := range order {
 		cc := make([]bool, len(p.np.Refs))

@@ -3,14 +3,17 @@ package cme
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/faultinject"
 	"cachemodel/internal/ir"
+	"cachemodel/internal/kernels"
 	"cachemodel/internal/layout"
 	"cachemodel/internal/normalize"
+	"cachemodel/internal/obs"
 )
 
 // TestFusedBudgetCheckpointParity proves the fused batch solver spends
@@ -76,6 +79,70 @@ func TestFusedBudgetCheckpointParity(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Fatal("no injection point actually degraded; the parity test proved nothing")
+	}
+
+	// A budgeted multi-candidate batch keeps the symbolic fast path: its
+	// replayed per-point stream must trip every budget at the same point
+	// as enumeration (NoSymbolic), with identical counts, provenance and
+	// spend. The geometry tier is off on both sides so the fused solver
+	// does all the work.
+	cands := []Candidate{
+		{Label: "512/32/1", Config: cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 1}},
+		{Label: "1K/32/2", Config: cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 2}},
+		{Label: "2K/32/1", Config: cache.Config{SizeBytes: 2048, LineBytes: 32, Assoc: 1}},
+		{Label: "1K/64/2", Config: cache.Config{SizeBytes: 1024, LineBytes: 64, Assoc: 2}},
+	}
+	solve := func(opt Options, b budget.Budget) []*Report {
+		_, a := prepKernel(t, kernels.Tomcatv(12, 4), cands[0].Config, opt)
+		reps, err := a.p.SolveBatch(context.Background(), cands, BatchOptions{Workers: 1, Budget: b, NoGeom: true})
+		if err != nil {
+			t.Fatalf("SolveBatch: %v", err)
+		}
+		return reps
+	}
+	var points, scan int64
+	for _, rep := range solve(Options{}, budget.Budget{MaxScan: 1 << 50}) {
+		points, scan = rep.BudgetSpent.Points, rep.BudgetSpent.Scan
+	}
+	type bcase struct {
+		name string
+		b    func() budget.Budget
+	}
+	cases := []bcase{
+		{"points/7", func() budget.Budget { return budget.Budget{MaxPoints: points / 7} }},
+		{"points/2", func() budget.Budget { return budget.Budget{MaxPoints: points / 2} }},
+		{"scan/9", func() budget.Budget { return budget.Budget{MaxScan: scan / 9} }},
+		{"scan/3", func() budget.Budget { return budget.Budget{MaxScan: scan / 3} }},
+	}
+	// Under a hook every checkpoint flushes, one per classified point.
+	for _, n := range []int64{points / 20, points / 4, points * 2 / 3} {
+		cases = append(cases, bcase{fmt.Sprintf("hook@%d", n),
+			func() budget.Budget { return budget.Budget{Hook: faultinject.ExhaustAt(n).Hook()} }})
+	}
+	symC := obs.Default.Counter("cme_points_symbolic_total")
+	degraded = 0
+	for _, bc := range cases {
+		want := solve(Options{NoSymbolic: true}, bc.b())
+		s0 := symC.Value()
+		got := solve(Options{}, bc.b())
+		if symC.Value() == s0 {
+			t.Errorf("%s: budgeted batch never took the symbolic path", bc.name)
+		}
+		for i, g := range got {
+			w := want[i]
+			label := bc.name + " " + cands[i].Label
+			sameRefReports(t, label, w, g)
+			gs, ws := g.BudgetSpent, w.BudgetSpent
+			if gs.Points != ws.Points || gs.Scan != ws.Scan || gs.Checkpoints != ws.Checkpoints || gs.Graces != ws.Graces {
+				t.Errorf("%s: spent %v (graces %d), NoSymbolic %v (graces %d)", label, gs, gs.Graces, ws, ws.Graces)
+			}
+			if w.Degraded {
+				degraded++
+			}
+		}
+	}
+	if degraded == 0 {
+		t.Fatal("no budget degraded a batch candidate; the symbolic parity cases proved nothing")
 	}
 }
 

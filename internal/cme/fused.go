@@ -18,7 +18,7 @@ import (
 //
 //  1. The memory line of every access, and therefore every cold equation
 //     — "the producer exists and touches the same line" — is identical
-//     across candidates. Since classify resolves an access by its FIRST
+//     across candidates. Since classification resolves an access by its FIRST
 //     reuse vector with a satisfied cold equation (the replacement walk
 //     then decides hit vs miss, never falls through), all candidates are
 //     decided by the same vector at every point.
@@ -27,10 +27,13 @@ import (
 //     filter (set membership, line % NumSets_c) and the eviction
 //     threshold (Assoc_c) differ. One traversal can therefore maintain a
 //     distinct-line scratch per candidate and record, per candidate, the
-//     position at which its solo walk would have stopped — reproducing
+//     position at which its own walk would have stopped — reproducing
 //     verdict AND logical scan count bit-identically.
 //
-// Each worker owns one fusedClassifier per fuse group (no locking).
+// A one-candidate group is the single-geometry case: FindMisses,
+// EstimateMisses, the degradation ladder and the public Classify all run
+// this classifier with one state. Each worker owns one fusedClassifier per
+// fuse group (no locking).
 type fusedClassifier struct {
 	p        *Prepared
 	g        *fuseGroup
@@ -47,12 +50,9 @@ type fusedClassifier struct {
 	// (ubiquitous) power-of-two line sizes; -1 keeps the division.
 	lineShift int
 
-	// plain handles dynamic (non-uniform) reuse, which classifyFused does
-	// not model; such groups are singletons and delegate to the full
-	// per-candidate classifier.
-	plain *classifier
-
 	// Local metric accumulators (flushed at release, never per point).
+	// hCands is set only by SolveBatch's exact pass: single-geometry
+	// solves stay out of the fusion histogram.
 	hCands    *obs.LocalHistogram // candidates per fused traversal
 	nWalks    int64
 	nMemoHits int64
@@ -69,9 +69,8 @@ type fcState struct {
 	wayBytes int64
 	assoc    int
 	scratch  *walkScratch
-	// memo carries each vector's arena plus its hit-rate-gate state,
-	// exactly as in the sequential classifier (see vecMemo and
-	// memoDisableAfter).
+	// memo carries each vector's arena plus its hit-rate-gate state (see
+	// vecMemo and memoDisableAfter).
 	memo map[*reuse.Vector]*vecMemo
 
 	set      int64
@@ -96,22 +95,15 @@ type fcWalkEntry struct {
 
 func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassifier {
 	fc := &fusedClassifier{p: p, g: g, w: w, paperLRU: p.opt.PaperLRU,
-		states: make([]*fcState, len(g.cands)), lineShift: -1,
-		hCands: mFusedCandidates.NewLocal()}
-	if g.lineBytes&(g.lineBytes-1) == 0 {
-		fc.lineShift = bits.TrailingZeros64(uint64(g.lineBytes))
-	}
-	if p.dyn != nil {
-		// Dynamic reuse: the group is a singleton (see solveExactFused) and
-		// the full classifier runs instead of the fused walk.
-		fc.plain = g.cands[0].a.newClassifierW(w)
-		return fc
+		states: make([]*fcState, len(g.cands)), lineShift: -1}
+	if lb := g.ls.lineBytes; lb&(lb-1) == 0 {
+		fc.lineShift = bits.TrailingZeros64(uint64(lb))
 	}
 	for i, cs := range g.cands {
 		a := cs.a
 		st := &fcState{numSets: a.numSets, setMask: a.setMask, wayBytes: a.wayBytes,
 			assoc: a.cfg.Assoc, scratch: newWalkScratch(a.cfg.Assoc)}
-		if !a.opt.NoMemo {
+		if !p.opt.NoMemo {
 			st.memo = map[*reuse.Vector]*vecMemo{}
 		}
 		fc.states[i] = st
@@ -122,12 +114,8 @@ func newFusedClassifier(g *fuseGroup, w *trace.Walker, p *Prepared) *fusedClassi
 // release recycles the per-candidate scratches and flushes the locally
 // accumulated metrics.
 func (fc *fusedClassifier) release() {
-	if fc.plain != nil {
-		fc.plain.release()
-		fc.plain = nil
-	}
 	for _, s := range fc.states {
-		if s != nil && s.scratch != nil {
+		if s.scratch != nil {
 			s.scratch.release()
 			s.scratch = nil
 		}
@@ -140,57 +128,26 @@ func (fc *fusedClassifier) release() {
 	fc.nWalks, fc.nMemoHits, fc.nSteps, fc.nMemoOff = 0, 0, 0, 0
 }
 
-// runTile classifies every point of reference ri inside the tile for the
-// candidates listed in active (positions into g.cands), accumulating each
-// candidate's counts into the parallel parts slice. ctx is polled every
-// 4096 points; an aborted tile leaves partial parts and is not marked
-// done by the caller. A non-nil probe is consulted per point with the
-// fused totals — len(active) classified points and the summed logical
-// scan work — so a single-candidate batch spends the budget exactly as
-// the solo exact solver does (Check(1, scanned) per point, cold = 0).
-func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, active []int, parts []RefReport, p *budget.Probe) error {
+// solveTile classifies every point of reference ri inside the tile for
+// the candidates listed in active (positions into g.cands), accumulating
+// each candidate's counts into the parallel parts slice. ctx is polled
+// every 4096 points; an aborted tile leaves partial parts and is not
+// marked done by the caller. A non-nil probe is consulted per point with
+// the fused totals — len(active) classified points and the summed logical
+// scan work — so a one-candidate group spends the budget point by point,
+// Check(1, scanned), with cold misses scanning nothing.
+func (fc *fusedClassifier) solveTile(ctx context.Context, ri int, t poly.Tile, active []int, parts []RefReport, p *budget.Probe) error {
 	r := fc.p.np.Refs[ri]
-	var perr error
-	if fc.plain != nil {
-		n := 0
-		before := parts[0].Analyzed
-		fc.p.spaces[r.Stmt].EnumerateTile(t, func(idx []int64) bool {
-			out, scanned := fc.plain.classify(r, idx)
-			parts[0].Analyzed++
-			switch out {
-			case Hit:
-				parts[0].Hits++
-			case ColdMiss:
-				parts[0].Cold++
-			case ReplacementMiss:
-				parts[0].Repl++
-			}
-			if p != nil {
-				if perr = p.Check(1, scanned); perr != nil {
-					return false
-				}
-			}
-			n++
-			return n&4095 != 0 || ctx.Err() == nil
-		})
-		mTilesSolved.Inc()
-		mPointsClassed.Add(parts[0].Analyzed - before)
-		mPointsEnumerated.Add(parts[0].Analyzed - before)
-		return perr
-	}
 	fc.act = fc.act[:0]
 	for _, pos := range active {
 		fc.act = append(fc.act, fc.states[pos])
 	}
-	// Symbolic fast path: unbudgeted solves only — budgeted batch runs
-	// enumerate, which is trivially bit-identical (and rare: budgets bind
-	// per point, where replay would cost as much as classification).
-	if p == nil && !fc.p.opt.NoSymbolic {
-		if sym := fc.g.sym[r]; sym.usable() {
-			fc.runTileSym(ctx, r, sym, t, parts)
-			return nil
+	if !fc.p.opt.NoSymbolic {
+		if sym := fc.g.ls.symInfo()[r]; sym.usable() {
+			return fc.solveTileSym(ctx, r, sym, t, parts, p)
 		}
 	}
+	var perr error
 	var before int64
 	for k := range parts {
 		before += parts[k].Analyzed
@@ -216,9 +173,24 @@ func (fc *fusedClassifier) runTile(ctx context.Context, ri int, t poly.Tile, act
 	return perr
 }
 
-// classifyFused is classify for all active candidates at once. It returns
-// the summed logical scan work of the point across the active candidates
-// (memo replays included; cold misses scan nothing).
+// classifyOne classifies one access for a one-candidate classifier,
+// returning the outcome and the logical scan work of the deciding walk.
+func (fc *fusedClassifier) classifyOne(r *ir.NRef, idx []int64) (Outcome, int64) {
+	var part [1]RefReport
+	fc.act = append(fc.act[:0], fc.states[0])
+	scanned := fc.classifyFused(r, idx, part[:])
+	switch {
+	case part[0].Hits > 0:
+		return Hit, scanned
+	case part[0].Repl > 0:
+		return ReplacementMiss, scanned
+	}
+	return ColdMiss, scanned
+}
+
+// classifyFused classifies one access for all active candidates at once.
+// It returns the summed logical scan work of the point across the active
+// candidates (memo replays included; cold misses scan nothing).
 func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefReport) int64 {
 	g := fc.g
 	addr := r.AddressAt(idx)
@@ -226,11 +198,11 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 	if fc.lineShift >= 0 {
 		line = addr >> fc.lineShift
 	} else {
-		line = addr / g.lineBytes
+		line = addr / g.ls.lineBytes
 	}
 	consumer := trace.Time{Label: r.Stmt.Label, Idx: idx, Seq: r.Seq}
 
-	for _, v := range g.vecs[r] {
+	for _, v := range g.ls.vecs[r] {
 		plabel, pidx := v.ProducerPointBuf(idx, &fc.lbuf, &fc.pbuf)
 		// Cold equation — shared across the group: the producer access
 		// must exist and touch the same memory line.
@@ -241,13 +213,13 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		if fc.lineShift >= 0 {
 			paddr >>= fc.lineShift
 		} else {
-			paddr /= g.lineBytes
+			paddr /= g.ls.lineBytes
 		}
 		if paddr != line {
 			continue
 		}
 		producer := trace.Time{Label: plabel, Idx: pidx, Seq: v.Producer.Seq}
-		info := g.memo[v]
+		info := g.ls.memo[v]
 		fc.pend = fc.pend[:0]
 		for _, s := range fc.act {
 			s.walkDone, s.evicted, s.scanned, s.key, s.vm = false, false, 0, "", nil
@@ -287,8 +259,8 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 				if s.key != "" {
 					s.vm.entries[s.key] = memoEntry{scanned: s.scanned, evicted: s.evicted}
 					if s.vm.miss++; s.vm.miss >= memoDisableAfter {
-						// Hit-rate gate, as in classifier.classify: free the
-						// vector's arena and stop probing it.
+						// Hit-rate gate: the vector keeps walking fresh
+						// points, so free its arena and stop probing it.
 						s.vm.entries = nil
 						s.vm.off = true
 						fc.nMemoOff++
@@ -308,9 +280,15 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 		}
 		return scanned
 	}
-	// No reuse vector solves the cold equation: a cold miss everywhere.
-	// (Dynamic reuse never reaches here — NonUniform candidates are
-	// solved unfused; see solveExactFused.)
+	// No reuse vector solves the cold equation. Non-uniformly generated
+	// reuse (§8 future work) gets the last word; its groups are singletons
+	// (see solveExactFused).
+	if fc.p.dyn != nil {
+		if out, scanned, ok := fc.classifyDynamic(r, idx, line, consumer); ok {
+			parts[0].count(out)
+			return scanned
+		}
+	}
 	for k := range fc.act {
 		parts[k].Analyzed++
 		parts[k].Cold++
@@ -323,12 +301,12 @@ func (fc *fusedClassifier) classifyFused(r *ir.NRef, idx []int64, parts []RefRep
 // distinct-line set, eviction threshold and stopping position; the
 // traversal ends as soon as every candidate is decided (or, under exact
 // LRU, when the reused line itself is touched — which decides everyone at
-// once, exactly as each solo walk would have stopped there).
+// once, exactly as each candidate's own walk would have stopped there).
 func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) {
 	// walk is the compacted undecided set: candidates are swap-removed the
 	// moment they decide, so the per-access inner loop costs Σ_c (own walk
 	// length), not |group| × (longest walk) — a decided small cache stops
-	// charging the walk immediately, exactly as its solo walk would have
+	// charging the walk immediately, exactly as its own walk would have
 	// stopped. Entries are values, not state pointers, so the loop scans a
 	// contiguous array. (fc.pend stays intact for the caller's memo stores.)
 	walk := fc.walk[:0]
@@ -338,7 +316,7 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) 
 			numSets: s.numSets, assoc: s.assoc, scratch: s.scratch, st: s})
 	}
 	var pos int64
-	lineBytes := fc.g.lineBytes
+	lineBytes := fc.g.ls.lineBytes
 	lineShift := fc.lineShift
 	// When every pending candidate has a power-of-two set count, candidate
 	// k's set test is (al^line)&mask_k == 0 and the masks are nested, so a
@@ -384,7 +362,7 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) 
 	if fc.paperLRU {
 		// The paper's equations verbatim: k distinct set contentions
 		// anywhere in the interval evict; touches of the reused line are
-		// counted as scanned but never stop a solo walk.
+		// counted as scanned but never stop a walk.
 		fc.w.Between(producer, consumer, func(_ *ir.NRef, addr int64) bool {
 			pos++
 			var al int64
@@ -400,7 +378,7 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) 
 		})
 	} else {
 		// Exact LRU: scan backwards from the consumer; the first touch of
-		// the line is its most recent fetch and stops every solo walk at
+		// the line is its most recent fetch and stops every candidate's walk at
 		// the same position.
 		fc.w.BetweenReverse(producer, consumer, func(_ *ir.NRef, addr int64) bool {
 			pos++
@@ -420,10 +398,66 @@ func (fc *fusedClassifier) fusedWalk(producer, consumer trace.Time, line int64) 
 			return scan(al)
 		})
 	}
-	// Interval exhausted with candidates still undecided: their solo
+	// Interval exhausted with candidates still undecided: their own
 	// walks scanned the whole interval and found no eviction.
 	for _, w := range walk {
 		w.st.scanned, w.st.walkDone = pos, true
 	}
 	fc.walk = walk[:0]
+}
+
+// classifyDynamic resolves non-uniformly generated reuse once every static
+// reuse vector of the one-candidate classifier has fallen through: the
+// latest earlier producer of the same element decides by an exact-LRU walk
+// under either replacement model.
+func (fc *fusedClassifier) classifyDynamic(r *ir.NRef, idx []int64, line int64, consumer trace.Time) (Outcome, int64, bool) {
+	best, _, ok := fc.p.dynamicProducer(r, idx, consumer)
+	if !ok {
+		return ColdMiss, 0, false
+	}
+	s := fc.act[0]
+	set := line % s.numSets
+	var scanned int64
+	evicted := false
+	s.scratch.reset()
+	fc.w.BetweenReverse(best, consumer, func(_ *ir.NRef, addr int64) bool {
+		scanned++
+		al := addr / fc.g.ls.lineBytes
+		if al == line {
+			return false
+		}
+		if al%s.numSets != set {
+			return true
+		}
+		if s.scratch.add(al) >= s.assoc {
+			evicted = true
+			return false
+		}
+		return true
+	})
+	if evicted {
+		return ReplacementMiss, scanned, true
+	}
+	return Hit, scanned, true
+}
+
+// dynamicProducer returns the latest access before consumer that touches
+// the same element as reference r at idx through r's dynamic reuse pairs,
+// and its reference. Same element means the same memory line, so the cold
+// equation holds whenever ok.
+func (p *Prepared) dynamicProducer(r *ir.NRef, idx []int64, consumer trace.Time) (best trace.Time, prod *ir.NRef, ok bool) {
+	for _, d := range p.dyn[r] {
+		q, has := d.ProducerPoint(idx)
+		if !has || !p.spaces[d.Producer.Stmt].Contains(q) {
+			continue
+		}
+		pt := trace.Time{Label: d.Producer.Stmt.Label, Idx: q, Seq: d.Producer.Seq}
+		if trace.Compare(pt, consumer) >= 0 {
+			continue
+		}
+		if !ok || trace.Compare(pt, best) > 0 {
+			best, prod, ok = pt, d.Producer, true
+		}
+	}
+	return best, prod, ok
 }

@@ -218,7 +218,7 @@ func (p *Prepared) planColumn(lineBytes int64, assoc int, members []*batchCand, 
 		pureCold: make([]bool, len(p.np.Refs)),
 		fit:      make([]bool, len(p.np.Refs)),
 	}
-	sym := p.lineState(lineBytes).sym
+	sym := p.lineState(lineBytes).symInfo()
 	anyPureCold := false
 	for ri, r := range p.np.Refs {
 		if s := sym[r]; s != nil && s.allCold && p.spaces[r.Stmt].Volume() > 0 {
@@ -354,7 +354,7 @@ type geomSample struct {
 // short fails the fit's census check, so its column's deferred refs
 // fall through per reference and rejoin the ordinary degradation
 // ladder.
-func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, workers int, gp *geomPlan, serr error) error {
+func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, run solveRun, gp *geomPlan, serr error) error {
 	if serr != nil {
 		return serr
 	}
@@ -379,7 +379,7 @@ func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Col
 		// Fall-through: the refused (member, ref) pairs run the ordinary
 		// fused enumerating solver — need masks now select exactly them.
 		sort.Slice(resolve, func(i, j int) bool { return resolve[i].ci < resolve[j].ci })
-		return p.solveExactFused(ctx, m, col, resolve, workers)
+		return p.solveExactFused(ctx, m, col, resolve, run)
 	}
 	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"cachemodel/internal/cerr"
 	"cachemodel/internal/faultinject"
 	"cachemodel/internal/kernels"
-	"cachemodel/internal/trace"
 )
 
 // goldenConfigs are the cache geometries the equivalence sweep runs under:
@@ -48,29 +47,21 @@ func sameRefReports(t *testing.T, label string, want, got *Report) {
 }
 
 // TestGoldenEquivalence sweeps every built-in kernel under two cache
-// geometries and checks that the optimised paths — memoized classification,
-// tile-parallel FindMisses and the set-sharded simulator — are bit-identical
-// to the sequential seed paths (single worker, memoization off).
+// geometries and checks that the optimised paths — memoized classification
+// and tile-parallel FindMisses — are bit-identical to the sequential seed
+// path (single worker, memoization off).
 func TestGoldenEquivalence(t *testing.T) {
 	const n = 8
 	for _, spec := range kernels.Suite() {
 		for _, cfg := range goldenConfigs() {
 			label := spec.Name + " [" + cfg.String() + "]"
-			np, seq := prepKernel(t, spec.Build(n), cfg, Options{Workers: 1, NoMemo: true})
+			_, seq := prepKernel(t, spec.Build(n), cfg, Options{Workers: 1, NoMemo: true})
 			_, memo := prepKernel(t, spec.Build(n), cfg, Options{Workers: 1})
 			_, par := prepKernel(t, spec.Build(n), cfg, Options{Workers: 8})
 
 			want := seq.FindMisses()
 			sameRefReports(t, label+" memo", want, memo.FindMisses())
 			sameRefReports(t, label+" parallel", want, par.FindMisses())
-
-			// The seed simulator and the sharded simulator must agree too.
-			sim := trace.Simulate(np, cfg)
-			shard := trace.SimulateSharded(np, cfg, 4)
-			if sim.Accesses != shard.Accesses || sim.Misses != shard.Misses {
-				t.Errorf("%s: sharded simulator %d/%d != sequential %d/%d",
-					label, shard.Accesses, shard.Misses, sim.Accesses, sim.Misses)
-			}
 		}
 	}
 }
@@ -147,6 +138,59 @@ func TestFaultMidTileCoherence(t *testing.T) {
 		}
 		if !sawPartial {
 			t.Errorf("at=%d: exhaustion mid-run left no incomplete reference", at)
+		}
+	}
+}
+
+// TestClassifyMatchesDetail pins the one classification engine to an
+// independent per-point reference: ClassifyDetail walks every interval
+// with trace.VisitBetween / VisitBetweenReverse, with no memo, strength
+// reduction, fusion or symbolic replication, and Classify must agree with
+// it at every iteration point of every reference. The sweep covers every
+// built-in kernel at a toy size under direct-mapped, 2-way and 96-set
+// (non-power-of-two) geometries, both replacement models, with and
+// without the verdict memo; a transposed re-read adds non-uniform reuse.
+func TestClassifyMatchesDetail(t *testing.T) {
+	configs := []cache.Config{
+		{SizeBytes: 512, LineBytes: 32, Assoc: 1},
+		{SizeBytes: 1024, LineBytes: 32, Assoc: 2},
+		{SizeBytes: 3072, LineBytes: 32, Assoc: 1}, // 96 sets
+	}
+	variants := map[string]Options{
+		"lru":          {},
+		"lru/nomemo":   {NoMemo: true},
+		"paper":        {PaperLRU: true},
+		"paper/nomemo": {PaperLRU: true, NoMemo: true},
+	}
+	check := func(label string, a *Analyzer) {
+		bad, points := 0, 0
+		for _, r := range a.p.np.Refs {
+			a.Space(r.Stmt).Enumerate(func(idx []int64) bool {
+				points++
+				got := a.Classify(r, idx)
+				want, _ := a.ClassifyDetail(r, idx)
+				if got != want {
+					if bad < 3 {
+						t.Errorf("%s: %s at %v: Classify %v, ClassifyDetail %v", label, r.ID, idx, got, want)
+					}
+					bad++
+				}
+				return true
+			})
+		}
+		if bad > 0 {
+			t.Errorf("%s: %d of %d points disagree", label, bad, points)
+		}
+	}
+	for _, cfg := range configs {
+		for name, opt := range variants {
+			for _, spec := range kernels.Suite() {
+				_, a := prepKernel(t, spec.Build(6), cfg, opt)
+				check(spec.Name+" ["+cfg.String()+"] "+name, a)
+			}
+			opt.Reuse.NonUniform = true
+			_, a := prep(t, transpose2D(12), cfg, opt)
+			check("transpose ["+cfg.String()+"] "+name+"/nonuniform", a)
 		}
 	}
 }

@@ -47,10 +47,28 @@ type Prepared struct {
 }
 
 // lineShared is the per-line-size slice of the geometry-invariant state.
+// The symbolic-region table is built on first use: the sampled solvers
+// never consult it.
 type lineShared struct {
-	vecs map[*ir.NRef][]*reuse.Vector
-	memo map[*reuse.Vector]memoInfo
-	sym  map[*ir.NRef]*refSym
+	lineBytes int64
+	vecs      map[*ir.NRef][]*reuse.Vector
+	memo      map[*reuse.Vector]memoInfo
+
+	p       *Prepared
+	symOnce sync.Once
+	sym     map[*ir.NRef]*refSym
+}
+
+// symInfo returns the line size's symbolic-region eligibility table,
+// building it on first use. Symbolic-region eligibility reads the same
+// inputs as the memo table plus the line size, so it shares the per-line
+// cache.
+func (ls *lineShared) symInfo() map[*ir.NRef]*refSym {
+	ls.symOnce.Do(func() {
+		p := ls.p
+		ls.sym = buildSymInfo(p.np, p.spaces, ls.vecs, ls.memo, p.dyn, ls.lineBytes)
+	})
+	return ls.sym
 }
 
 // Prepare builds the geometry-invariant stage once. The program must be
@@ -75,6 +93,7 @@ func Prepare(np *ir.NProgram, opt Options) (*Prepared, error) {
 	if opt.Reuse.NonUniform {
 		p.dyn = reuse.GenerateDynamic(np)
 	}
+	p.warmAddresses() // likewise, so concurrent solves only read addresses
 	p.digest = programDigest(np, opt)
 	return p, nil
 }
@@ -88,17 +107,16 @@ func (p *Prepared) lineState(lineBytes int64) *lineShared {
 		return ls
 	}
 	// Any valid configuration with this line size yields the same vectors;
-	// reuse.Generate reads it only through LineElems. (Options.Vectors is
-	// deliberately ignored here: caller-supplied vectors describe a single
-	// unknown line size, while this table is keyed by line size.)
+	// reuse.Generate reads it only through LineElems.
 	cfg := cache.Config{SizeBytes: lineBytes, LineBytes: lineBytes, Assoc: 1}
-	vecs := reuse.Generate(p.np, cfg, p.opt.Reuse)
-	ls := &lineShared{vecs: vecs, memo: memoTable(p.np, vecs)}
-	// Symbolic-region eligibility reads the same inputs as the memo table
-	// plus the line size, so it shares the per-line cache.
-	ls.sym = buildSymInfo(p.np, p.spaces, vecs, ls.memo, p.dyn, lineBytes)
+	ls := p.newLineState(lineBytes, reuse.Generate(p.np, cfg, p.opt.Reuse))
 	p.byLine[lineBytes] = ls
 	return ls
+}
+
+// newLineState wraps one line size's reuse vectors with their memo table.
+func (p *Prepared) newLineState(lineBytes int64, vecs map[*ir.NRef][]*reuse.Vector) *lineShared {
+	return &lineShared{lineBytes: lineBytes, vecs: vecs, memo: memoTable(p.np, vecs), p: p}
 }
 
 // Analyzer stamps a geometry-dependent view of the Prepared program for
@@ -109,15 +127,15 @@ func (p *Prepared) Analyzer(cfg cache.Config) (*Analyzer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ls := p.lineState(cfg.LineBytes)
-	a := &Analyzer{np: p.np, cfg: cfg, opt: p.opt,
-		vecs:     ls.vecs,
-		dyn:      p.dyn,
-		spaces:   p.spaces,
-		memoInfo: ls.memo,
-		symOf:    ls.sym,
+	a := &Analyzer{p: p, cfg: cfg, ls: p.lineState(cfg.LineBytes), numSets: cfg.NumSets()}
+	a.wayBytes = cfg.LineBytes * a.numSets
+	// Addresses in the model are non-negative (layout validates bases), so
+	// a power-of-two set count lets the per-access set filter strength-
+	// reduce the modulo to a mask.
+	a.setMask = -1
+	if a.numSets&(a.numSets-1) == 0 {
+		a.setMask = a.numSets - 1
 	}
-	a.memoPrecompute()
 	return a, nil
 }
 

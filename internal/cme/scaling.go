@@ -300,7 +300,7 @@ func (s *ScalingSolver) probe() error {
 	// classification (rung 2).
 	sym := make([]map[*ir.NRef]*refSym, 3)
 	for i, p := range preps {
-		sym[i] = p.lineState(s.cfg.LineBytes).sym
+		sym[i] = p.lineState(s.cfg.LineBytes).symInfo()
 	}
 	fitOpt := poly.FitOptions{MinN: s.sopt.MinN}
 	for i, r := range nps[0].Refs {

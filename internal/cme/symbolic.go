@@ -24,7 +24,7 @@ import (
 // invariance bit k. Translating the consumer by t·e_k then
 //
 //   - keeps the recursion shape of every deeper level and every guard
-//     (rectAt[k]: nothing mentions I_{k+1});
+//     (rect[k]: nothing mentions I_{k+1});
 //   - keeps each vector's replacement-walk verdict AND scan count
 //     whenever the common address delta c_k·t is a multiple of the line
 //     size: all visited addresses, the consumer's and the producer's
@@ -45,11 +45,12 @@ import (
 // Within a slab longer than the period P, the solver classifies the first
 // P values (the representatives) and replicates their aggregate outcomes
 // onto the remaining values. Under a budget probe it instead records the
-// per-point (outcome, scanned) stream of each representative subtree and
-// replays it point by point for every replica, issuing the same
-// Check(1, scanned) sequence the enumerator would have issued — budget
-// trip points, degradation decisions and partial counts stay
-// bit-identical even under fault injection (the PR 2 memo's parity
+// per-point stream of each representative subtree — every active
+// candidate's outcome plus the point's summed scan work — and replays it
+// point by point for every replica, issuing the same Check sequence the
+// enumerator would have issued. Budget trip points, degradation decisions
+// and partial counts stay bit-identical even under fault injection, for a
+// one-candidate solve and a fused batch alike (the verdict memo's parity
 // discipline, lifted from single walks to whole regions).
 
 // refSym is the per-reference symbolic-region precomputation.
@@ -79,19 +80,6 @@ type dimSym struct {
 
 type ivSpec struct {
 	lo, hi ir.Affine
-}
-
-// symPatternCap bounds the recorded verdict stream of one representative
-// subtree in budget mode; larger subtrees fall back to enumeration for
-// their replicas (deterministically, so parity is unaffected).
-const symPatternCap = 1 << 15
-
-// symPattern is a recorded per-point verdict stream of one representative
-// subtree, in enumeration order.
-type symPattern struct {
-	outs    []byte
-	scans   []int64
-	overrun bool
 }
 
 // shiftAffine returns a'(idx) = a(idx − D) + add: the same coefficients
@@ -254,31 +242,55 @@ type symDelta struct {
 	analyzed, hits, cold, repl int64
 }
 
-// symRun executes one (reference, tile) solve with region replication,
-// bit-identical to plain enumeration of the same tile.
-type symRun struct {
-	a    *Analyzer
-	c    *classifier
-	r    *ir.NRef
-	sym  *refSym
-	sp   *poly.Space
-	t    poly.Tile
-	rr   *RefReport
-	p    *budget.Probe
-	perr error
-	idx  []int64
-	nRep int64 // points resolved without classification
+// symPatternCap bounds the recorded verdict stream of one representative
+// subtree in budget mode, in points; larger subtrees fall back to
+// classification for their replicas (deterministically, so parity is
+// unaffected).
+const symPatternCap = 1 << 15
 
-	rec    *symPattern  // active budget-mode recording (nil otherwise)
-	cuts   [][]int64    // per-depth slab-boundary scratch
-	deltas [][]symDelta // per-depth aggregate scratch
+// symPattern is a recorded verdict stream of one representative subtree,
+// in enumeration order: per point, one outcome per active candidate and
+// the point's summed scan work.
+type symPattern struct {
+	outs    []byte // point-major, len(parts) outcomes per point
+	scans   []int64
+	overrun bool
 }
 
-// runTileSym is the symbolic counterpart of runTile.
-func (a *Analyzer) runTileSym(c *classifier, r *ir.NRef, sym *refSym, t poly.Tile, rr *RefReport, p *budget.Probe) error {
-	sp := a.spaces[r.Stmt]
-	before := rr.Analyzed
-	s := &symRun{a: a, c: c, r: r, sym: sym, sp: sp, t: t, rr: rr, p: p,
+// symRunFused executes one (reference, tile) solve for the active
+// candidates of a fuse group with region replication, bit-identical to
+// plain enumeration of the same tile. The line size (and hence every
+// period and every slab) is shared across the group, so one slab
+// decomposition replicates every candidate's verdicts at once.
+type symRunFused struct {
+	fc    *fusedClassifier
+	r     *ir.NRef
+	sym   *refSym
+	sp    *poly.Space
+	t     poly.Tile
+	parts []RefReport
+	ctx   context.Context
+	p     *budget.Probe
+	perr  error
+	idx   []int64
+	nRep  int64 // replicated points per candidate
+	nPts  int64 // classified points (context-poll cadence)
+
+	rec    *symPattern  // active budget-mode recording (nil otherwise)
+	before []RefReport  // per-candidate counts before a recorded point
+	cuts   [][]int64    // per-depth slab-boundary scratch
+	deltas [][]symDelta // per depth: P * len(parts) deltas, row-major
+}
+
+// solveTileSym is the symbolic counterpart of solveTile, for a reference
+// whose symbolic info is usable.
+func (fc *fusedClassifier) solveTileSym(ctx context.Context, r *ir.NRef, sym *refSym, t poly.Tile, parts []RefReport, p *budget.Probe) error {
+	sp := fc.p.spaces[r.Stmt]
+	var before int64
+	for i := range parts {
+		before += parts[i].Analyzed
+	}
+	s := &symRunFused{fc: fc, r: r, sym: sym, sp: sp, t: t, parts: parts, ctx: ctx, p: p,
 		idx:    make([]int64, sp.Depth),
 		cuts:   make([][]int64, sp.Depth),
 		deltas: make([][]symDelta, sp.Depth),
@@ -288,11 +300,14 @@ func (a *Analyzer) runTileSym(c *classifier, r *ir.NRef, sym *refSym, t poly.Til
 	} else {
 		s.run(0)
 	}
-	total := rr.Analyzed - before
+	var after int64
+	for i := range parts {
+		after += parts[i].Analyzed
+	}
 	mTilesSolved.Inc()
-	mPointsClassed.Add(total)
-	mPointsSymbolic.Add(s.nRep)
-	mPointsEnumerated.Add(total - s.nRep)
+	mPointsClassed.Add(after - before)
+	mPointsSymbolic.Add(s.nRep * int64(len(parts)))
+	mPointsEnumerated.Add(after - before - s.nRep*int64(len(parts)))
 	return s.perr
 }
 
@@ -300,55 +315,74 @@ func (a *Analyzer) runTileSym(c *classifier, r *ir.NRef, sym *refSym, t poly.Til
 // is a cold miss with zero scan work. Without a probe the tile is counted
 // in closed form; with one, the points are replayed individually so the
 // budget checkpoint sequence matches the enumerator's exactly.
-func (s *symRun) runAllCold() {
+func (s *symRunFused) runAllCold() {
 	if s.p == nil {
 		cnt := s.sp.CountTile(s.t)
-		s.rr.Analyzed += cnt
-		s.rr.Cold += cnt
-		s.nRep += cnt
+		for i := range s.parts {
+			s.parts[i].Analyzed += cnt
+			s.parts[i].Cold += cnt
+		}
+		s.nRep = cnt
 		return
 	}
 	s.sp.EnumerateTile(s.t, func([]int64) bool {
 		s.nRep++
-		return s.emit(ColdMiss, 0)
+		for i := range s.parts {
+			s.parts[i].count(ColdMiss)
+		}
+		return s.check(0)
 	})
 }
 
-// emit accounts one point's outcome, feeding the active recording and the
-// budget probe exactly as the enumerating loop would.
-func (s *symRun) emit(out Outcome, scanned int64) bool {
-	s.rr.Analyzed++
-	switch out {
-	case Hit:
-		s.rr.Hits++
-	case ColdMiss:
-		s.rr.Cold++
-	case ReplacementMiss:
-		s.rr.Repl++
-	}
-	if s.rec != nil {
-		if len(s.rec.outs) >= symPatternCap {
-			s.rec.overrun = true
-		} else {
-			s.rec.outs = append(s.rec.outs, byte(out))
-			s.rec.scans = append(s.rec.scans, scanned)
-		}
-	}
+// check feeds one point's summed scan work to the budget probe, exactly
+// as the enumerating loop would.
+func (s *symRunFused) check(scanned int64) bool {
 	if s.p != nil {
-		if s.perr = s.p.Check(1, scanned); s.perr != nil {
+		if s.perr = s.p.Check(int64(len(s.parts)), scanned); s.perr != nil {
 			return false
 		}
 	}
 	return true
 }
 
+// classify classifies the point at s.idx for every active candidate,
+// appending the verdicts to the active recording.
+func (s *symRunFused) classify() bool {
+	rec := s.rec
+	if rec != nil && len(rec.scans) >= symPatternCap {
+		rec.overrun = true
+		rec = nil
+	}
+	if rec != nil {
+		s.before = append(s.before[:0], s.parts...)
+	}
+	scanned := s.fc.classifyFused(s.r, s.idx, s.parts)
+	if rec != nil {
+		for i := range s.parts {
+			out := ColdMiss
+			switch {
+			case s.parts[i].Hits > s.before[i].Hits:
+				out = Hit
+			case s.parts[i].Repl > s.before[i].Repl:
+				out = ReplacementMiss
+			}
+			rec.outs = append(rec.outs, byte(out))
+		}
+		rec.scans = append(rec.scans, scanned)
+	}
+	if !s.check(scanned) {
+		return false
+	}
+	s.nPts++
+	return s.nPts&4095 != 0 || s.ctx.Err() == nil
+}
+
 // run recurses over the iteration space in lexicographic order, matching
 // EnumerateTile's structure level by level; at an eligible dimension it
 // switches to slab decomposition instead of the plain loop.
-func (s *symRun) run(k int) bool {
+func (s *symRunFused) run(k int) bool {
 	if k == s.sp.Depth {
-		out, scanned := s.c.classify(s.r, s.idx)
-		return s.emit(out, scanned)
+		return s.classify()
 	}
 	lo, hi, ok := s.sp.RangeAt(k, s.idx)
 	if !ok {
@@ -370,22 +404,43 @@ func (s *symRun) run(k int) bool {
 		d = s.sym.dims[k]
 	}
 	if d == nil || hi-lo+1 <= d.period {
-		for v := lo; v <= hi; v++ {
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-		}
-		return true
+		return s.loop(k, lo, hi)
 	}
-	return s.runSlabs(k, d, lo, hi)
+	cuts := s.slabCuts(k, d, lo, hi)
+	start := lo
+	for ci := 0; ci <= len(cuts); ci++ {
+		end := hi
+		if ci < len(cuts) {
+			end = cuts[ci] - 1
+		}
+		if !s.runSlab(k, d, start, end) {
+			return false
+		}
+		start = end + 1
+		// Re-read the cut list: deeper recursion shares the per-depth
+		// scratch only below k, so the slice is intact, but it may have
+		// been moved by append in a sibling call.
+		cuts = s.cuts[k]
+	}
+	return true
+}
+
+// loop classifies depth k's values lo..hi one by one.
+func (s *symRunFused) loop(k int, lo, hi int64) bool {
+	for v := lo; v <= hi; v++ {
+		s.idx[k] = v
+		if !s.run(k + 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // slabCuts computes the ascending slab boundaries of [lo, hi] at depth k:
 // the values where some vector's producer-existence interval opens or
 // closes. Within a slab every vector's existence status is constant along
 // the dimension, so verdicts repeat with the dimension's period.
-func (s *symRun) slabCuts(k int, d *dimSym, lo, hi int64) []int64 {
+func (s *symRunFused) slabCuts(k int, d *dimSym, lo, hi int64) []int64 {
 	cuts := s.cuts[k][:0]
 	for _, iv := range d.ivs {
 		a := iv.lo.Eval(s.idx)
@@ -410,85 +465,25 @@ func (s *symRun) slabCuts(k int, d *dimSym, lo, hi int64) []int64 {
 	return cuts
 }
 
-func (s *symRun) runSlabs(k int, d *dimSym, lo, hi int64) bool {
-	cuts := s.slabCuts(k, d, lo, hi)
-	start := lo
-	for ci := 0; ci <= len(cuts); ci++ {
-		end := hi
-		if ci < len(cuts) {
-			end = cuts[ci] - 1
-		}
-		if !s.runSlab(k, d, start, end) {
-			return false
-		}
-		start = end + 1
-		// Re-read the cut list: deeper recursion shares the per-depth
-		// scratch only below k, so the slice is intact, but it may have
-		// been moved by append in a sibling call.
-		cuts = s.cuts[k]
-	}
-	return true
-}
-
 // runSlab solves one slab [lo, hi] of depth k: when the slab holds more
 // than one period P, the first P values are classified and the remaining
 // values inherit their verdicts by translation.
-func (s *symRun) runSlab(k int, d *dimSym, lo, hi int64) bool {
+func (s *symRunFused) runSlab(k int, d *dimSym, lo, hi int64) bool {
 	if lo > hi {
 		return true
 	}
 	n := hi - lo + 1
 	P := d.period
 	if n <= P {
-		for v := lo; v <= hi; v++ {
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-		}
-		return true
+		return s.loop(k, lo, hi)
 	}
 	if s.p == nil {
-		// Aggregate replication: classify the representatives, then copy
-		// their aggregate outcomes onto every further translate.
-		dl := s.deltas[k]
-		if int64(cap(dl)) < P {
-			dl = make([]symDelta, P)
-		} else {
-			dl = dl[:P]
-		}
-		s.deltas[k] = dl
-		for j := int64(0); j < P; j++ {
-			before := symDelta{s.rr.Analyzed, s.rr.Hits, s.rr.Cold, s.rr.Repl}
-			s.idx[k] = lo + j
-			if !s.run(k + 1) {
-				return false
-			}
-			dl[j] = symDelta{
-				analyzed: s.rr.Analyzed - before.analyzed,
-				hits:     s.rr.Hits - before.hits,
-				cold:     s.rr.Cold - before.cold,
-				repl:     s.rr.Repl - before.repl,
-			}
-		}
-		dl = s.deltas[k] // recursion below k never touches level k's scratch
-		for j := int64(0); j < P; j++ {
-			extra := (n - 1 - j) / P // translates beyond the representative
-			if extra == 0 {
-				continue
-			}
-			s.rr.Analyzed += extra * dl[j].analyzed
-			s.rr.Hits += extra * dl[j].hits
-			s.rr.Cold += extra * dl[j].cold
-			s.rr.Repl += extra * dl[j].repl
-			s.nRep += extra * dl[j].analyzed
-		}
-		return true
+		return s.replicate(k, lo, n, P)
 	}
 	// Budget mode: record each representative's per-point verdict stream
 	// and replay it for the translates in enumeration order, so the probe
-	// sees the identical Check(1, scanned) sequence (and trips at the
-	// identical point) as under plain enumeration.
+	// sees the identical Check sequence (and trips at the identical point)
+	// as under plain enumeration.
 	pats := make([]*symPattern, P)
 	for j := int64(0); j < P; j++ {
 		pat := &symPattern{}
@@ -501,6 +496,7 @@ func (s *symRun) runSlab(k int, d *dimSym, lo, hi int64) bool {
 		}
 		pats[j] = pat
 	}
+	nc := len(s.parts)
 	for v := lo + P; v <= hi; v++ {
 		pat := pats[(v-lo)%P]
 		if pat.overrun {
@@ -512,9 +508,12 @@ func (s *symRun) runSlab(k int, d *dimSym, lo, hi int64) bool {
 			}
 			continue
 		}
-		for i, o := range pat.outs {
+		for i, sc := range pat.scans {
 			s.nRep++
-			if !s.emit(Outcome(o), pat.scans[i]) {
+			for c, o := range pat.outs[i*nc : (i+1)*nc] {
+				s.parts[c].count(Outcome(o))
+			}
+			if !s.check(sc) {
 				return false
 			}
 		}
@@ -522,144 +521,10 @@ func (s *symRun) runSlab(k int, d *dimSym, lo, hi int64) bool {
 	return true
 }
 
-// ---- fused batch variant ----
-
-// symRunFused replays the same region logic for a fused candidate group:
-// the line size (and hence every period and every slab) is shared across
-// the group, so one slab decomposition replicates every candidate's
-// aggregates at once. It runs only on unbudgeted solves; budgeted batch
-// runs enumerate, which is trivially bit-identical.
-type symRunFused struct {
-	fc    *fusedClassifier
-	r     *ir.NRef
-	sym   *refSym
-	sp    *poly.Space
-	t     poly.Tile
-	parts []RefReport
-	ctx   context.Context
-	idx   []int64
-	nRep  int64 // replicated points per candidate
-	nPts  int64 // classified points (context-poll cadence)
-
-	cuts   [][]int64
-	deltas [][]symDelta // per depth: P * len(parts) deltas, row-major
-}
-
-// runTileSym mirrors fusedClassifier.runTile for an eligible reference.
-func (fc *fusedClassifier) runTileSym(ctx context.Context, r *ir.NRef, sym *refSym, t poly.Tile, parts []RefReport) {
-	sp := fc.p.spaces[r.Stmt]
-	var before int64
-	for i := range parts {
-		before += parts[i].Analyzed
-	}
-	s := &symRunFused{fc: fc, r: r, sym: sym, sp: sp, t: t, parts: parts, ctx: ctx,
-		idx:    make([]int64, sp.Depth),
-		cuts:   make([][]int64, sp.Depth),
-		deltas: make([][]symDelta, sp.Depth),
-	}
-	if sym.allCold {
-		cnt := sp.CountTile(t)
-		for i := range parts {
-			parts[i].Analyzed += cnt
-			parts[i].Cold += cnt
-		}
-		s.nRep = cnt
-	} else {
-		s.run(0)
-	}
-	var after int64
-	for i := range parts {
-		after += parts[i].Analyzed
-	}
-	mTilesSolved.Inc()
-	mPointsClassed.Add(after - before)
-	mPointsSymbolic.Add(s.nRep * int64(len(parts)))
-	mPointsEnumerated.Add(after - before - s.nRep*int64(len(parts)))
-}
-
-func (s *symRunFused) run(k int) bool {
-	if k == s.sp.Depth {
-		s.fc.classifyFused(s.r, s.idx, s.parts)
-		s.nPts++
-		return s.nPts&4095 != 0 || s.ctx.Err() == nil
-	}
-	lo, hi, ok := s.sp.RangeAt(k, s.idx)
-	if !ok {
-		return true
-	}
-	if k == s.t.Dim {
-		if s.t.Lo > lo {
-			lo = s.t.Lo
-		}
-		if s.t.Hi < hi {
-			hi = s.t.Hi
-		}
-		if lo > hi {
-			return true
-		}
-	}
-	d := s.sym.dims[k]
-	if d == nil || hi-lo+1 <= d.period {
-		for v := lo; v <= hi; v++ {
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	// Slab decomposition (same derivation as symRun.runSlabs).
-	cuts := s.cuts[k][:0]
-	for _, iv := range d.ivs {
-		a := iv.lo.Eval(s.idx)
-		b := iv.hi.Eval(s.idx) + 1
-		if a > lo && a <= hi {
-			cuts = append(cuts, a)
-		}
-		if b > lo && b <= hi {
-			cuts = append(cuts, b)
-		}
-	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
-	w := 0
-	for i, c := range cuts {
-		if i == 0 || c != cuts[w-1] {
-			cuts[w] = c
-			w++
-		}
-	}
-	cuts = cuts[:w]
-	s.cuts[k] = cuts
-	start := lo
-	for ci := 0; ci <= len(cuts); ci++ {
-		end := hi
-		if ci < len(cuts) {
-			end = cuts[ci] - 1
-		}
-		if !s.runSlab(k, d, start, end) {
-			return false
-		}
-		start = end + 1
-		cuts = s.cuts[k]
-	}
-	return true
-}
-
-func (s *symRunFused) runSlab(k int, d *dimSym, lo, hi int64) bool {
-	if lo > hi {
-		return true
-	}
-	n := hi - lo + 1
-	P := d.period
-	if n <= P {
-		for v := lo; v <= hi; v++ {
-			s.idx[k] = v
-			if !s.run(k + 1) {
-				return false
-			}
-		}
-		return true
-	}
+// replicate is runSlab without a budget probe: it classifies the P
+// representatives of an n-value slab starting at lo, then copies their
+// aggregate outcomes onto every further translate.
+func (s *symRunFused) replicate(k int, lo, n, P int64) bool {
 	nc := int64(len(s.parts))
 	dl := s.deltas[k]
 	if int64(cap(dl)) < P*nc {
@@ -686,9 +551,9 @@ func (s *symRunFused) runSlab(k int, d *dimSym, lo, hi int64) bool {
 			}
 		}
 	}
-	dl = s.deltas[k]
+	dl = s.deltas[k] // recursion below k never touches level k's scratch
 	for j := int64(0); j < P; j++ {
-		extra := (n - 1 - j) / P
+		extra := (n - 1 - j) / P // translates beyond the representative
 		if extra == 0 {
 			continue
 		}
