@@ -50,11 +50,11 @@ import (
 	"cachemodel/internal/ir"
 	"cachemodel/internal/kernels"
 	"cachemodel/internal/layout"
-	"cachemodel/internal/normalize"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/prob"
 	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
 )
 
@@ -201,19 +201,7 @@ type PrepareOptions struct {
 // returned normalised program is ready for analysis and simulation.
 func Prepare(p *Program, opt PrepareOptions) (np *NProgram, stats *InlineStats, err error) {
 	defer cerr.RecoverTo(&err)
-	flat, stats, err := inline.Flatten(p, opt.Inline)
-	if err != nil {
-		return nil, nil, err
-	}
-	np, err = normalize.Normalize(flat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := layout.AssignProgram(np, opt.Layout); err != nil {
-		return nil, nil, err
-	}
-	np.Name = p.Name
-	return np, stats, nil
+	return spec.Pipeline(p, spec.Front{Inline: opt.Inline, Layout: opt.Layout})
 }
 
 // ClassifyCalls applies the Table 2 classification to every call of the

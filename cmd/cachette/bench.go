@@ -101,11 +101,7 @@ type benchReport struct {
 // sequential baseline and fails otherwise.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	name := fs.String("program", "tomcatv", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to benchmark instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 1, "outer iterations (whole programs)")
+	prog := newProgramFlags(fs, "tomcatv", 32, 1)
 	cs, ls, assoc := cacheFlags(fs)
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel worker count for the parallel variants")
 	repeat := fs.Int("repeat", 1, "timing repetitions (the fastest is reported)")
@@ -139,8 +135,7 @@ func cmdBench(args []string) error {
 		if dst == "BENCH_solvers.json" {
 			dst = "BENCH_scaling.json"
 		}
-		return benchScaling(context.Background(), *name, *file, *consts, *sizeConst,
-			*iters, cfg, *workers, ns, dst, *check)
+		return benchScaling(context.Background(), prog, *sizeConst, cfg, *workers, ns, dst, *check)
 	}
 
 	if *distMode {
@@ -152,7 +147,7 @@ func cmdBench(args []string) error {
 		if dst == "BENCH_solvers.json" {
 			dst = "BENCH_dist.json"
 		}
-		return benchDist(*name, *file, *consts, *size, *iters, wcounts, dst, *check)
+		return benchDist(prog, wcounts, dst, *check)
 	}
 
 	if *sweepMode {
@@ -165,15 +160,15 @@ func cmdBench(args []string) error {
 			dst = "BENCH_sweep.json"
 		}
 		sargs := []string{
-			"-program", *name, "-size", fmt.Sprint(*size), "-iters", fmt.Sprint(*iters),
+			"-program", *prog.name, "-size", fmt.Sprint(*prog.size), "-iters", fmt.Sprint(*prog.iters),
 			"-sizes-from", fmt.Sprint(*sweepFrom), "-sizes-to", fmt.Sprint(*sweepTo),
 			"-sizes-step", fmt.Sprint(*sweepStep),
 			"-lines", fmt.Sprint(*ls), "-assocs", fmt.Sprint(*assoc),
 			"-workers", fmt.Sprint(*workers),
 			"-exact", "-geom-bench", "-out", dst,
 		}
-		if *file != "" {
-			sargs = append(sargs, "-file", *file, "-const", *consts)
+		if *prog.file != "" {
+			sargs = append(sargs, "-file", *prog.file, "-const", *prog.consts)
 		}
 		if *check {
 			sargs = append(sargs, "-geom-gate", "3")
@@ -190,11 +185,7 @@ func cmdBench(args []string) error {
 	}
 	ctx := or.Context(context.Background())
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
-	if err != nil {
-		return err
-	}
-	np, _, err := prepare(p)
+	np, _, err := prog.prepare()
 	if err != nil {
 		return err
 	}
@@ -245,7 +236,7 @@ func cmdBench(args []string) error {
 		return 100 * float64(s) / float64(s+e)
 	}
 
-	rep := benchReport{Program: p.Name, Size: *size, Iters: *iters, Cache: cfg.String(),
+	rep := benchReport{Program: np.Name, Size: *prog.size, Iters: *prog.iters, Cache: cfg.String(),
 		GoMaxProcs: runtime.GOMAXPROCS(0), Workers: *workers, Repeat: *repeat}
 
 	solve := func(a *cme.Analyzer) *cme.Report {
@@ -348,7 +339,7 @@ func cmdBench(args []string) error {
 		fmt.Fprintf(os.Stderr, "cachette bench: wrote %s\n", *out)
 	}
 	os.Stdout.Write(blob)
-	return or.finish(ctx, p.Name, seqRep, nil)
+	return or.finish(ctx, np.Name, seqRep, nil)
 }
 
 // sameReport verifies two exact reports carry identical per-reference

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -191,6 +192,39 @@ func TestCLIScalingClosedForm(t *testing.T) {
 	}
 	if !strings.Contains(s, "0 fall-through(s)") {
 		t.Fatalf("expected the whole ladder in closed form:\n%s", s)
+	}
+}
+
+// TestCLILadderNearMaxInt64: a size ladder ending within one step of
+// MaxInt64 — the range a stepping loop wraps on and never leaves — is an
+// argument error for both ladder-taking commands, reported before any
+// solve.
+func TestCLILadderNearMaxInt64(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a CLI process")
+	}
+	for name, args := range map[string][]string{
+		"scaling": {"scaling", "-program", "hydro",
+			"-from", "9223372036854775707", "-to", "9223372036854775807", "-step", "64"},
+		"sweep": {"sweep", "-program", "hydro", "-out", "-",
+			"-sizes-from", "1024", "-sizes-to", "9223372036854775807", "-sizes-step", "1"},
+	} {
+		cmd := cliCommand(t, args...)
+		var out strings.Builder
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Start(); err != nil {
+			t.Fatalf("%s: start: %v", name, err)
+		}
+		timer := time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() })
+		err := cmd.Wait()
+		timer.Stop()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Fatalf("%s: want exit status 1, got %v\n%s", name, err, out.String())
+		}
+		if !strings.Contains(out.String(), "bad ladder") {
+			t.Errorf("%s: no ladder argument error:\n%s", name, out.String())
+		}
 	}
 }
 

@@ -71,16 +71,8 @@ func cmdDistCoordinate(args []string) error {
 	traceOut := fs.String("trace-out", "", "write the sweep's Chrome trace-event JSON here (load at ui.perfetto.dev); forces tracing on")
 	logFmt := fs.String("log", "", "structured logs on stderr: json or text (default: plain lines)")
 
-	name := fs.String("program", "", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to sweep instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file (NAME=value, comma separated)")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
-	sizes := fs.String("sizes", "4096,8192,16384,32768,65536", "cache sizes in bytes, comma separated")
-	lines := fs.String("lines", "32", "line sizes in bytes, comma separated")
-	assocs := fs.String("assocs", "1,2,4", "associativities, comma separated")
-	padArray := fs.String("pad-array", "", "array to pad: crosses the geometry grid with one layout candidate per -pads entry")
-	pads := fs.String("pads", "", "paddings in elements for -pad-array, comma separated")
+	prog := newProgramFlags(fs, "", 32, 2)
+	gflags := newGridFlags(fs)
 	exact := fs.Bool("exact", false, "solve every candidate exactly instead of sampling")
 	conf := fs.Float64("c", 0.95, "confidence level for the sampled tier")
 	width := fs.Float64("w", 0.05, "confidence interval half-width for the sampled tier")
@@ -101,13 +93,14 @@ func cmdDistCoordinate(args []string) error {
 	defer stop()
 	ctx = or.Context(ctx)
 
-	spec, err := distSpec(*name, *file, *consts, *size, *iters, *sizes, *lines, *assocs,
-		*padArray, *pads, *exact, *conf, *width, *adaptive, *unitSize, *prune, *pruneKeep, *pruneMargin)
+	spec, err := distSpec(prog, gflags, dist.SolveSpec{Exact: *exact, Confidence: *conf, Width: *width,
+		Adaptive: *adaptive})
 	if err != nil {
 		return err
 	}
 	if spec != nil {
-		spec.NoColumnUnits = *noColumnUnits
+		spec.UnitSize, spec.NoColumnUnits = *unitSize, *noColumnUnits
+		spec.Prune, spec.PruneKeep, spec.PruneMargin = *prune, *pruneKeep, *pruneMargin
 	}
 	if *check && spec != nil && spec.Prune {
 		return fmt.Errorf("dist coordinate: -check is incompatible with -prune (pruned rows are advisor estimates, not solves)")
@@ -336,69 +329,25 @@ func cmdDistWork(args []string) error {
 	return nil
 }
 
-// distSpec assembles a SweepSpec from the coordinate flags; nil when no
-// program was named (pure server mode).
-func distSpec(name, file, consts string, size, iters int64, sizes, lines, assocs,
-	padArray, pads string, exact bool, conf, width float64, adaptive bool,
-	unitSize int, prune bool, pruneKeep int, pruneMargin float64) (*dist.SweepSpec, error) {
-	if name == "" && file == "" {
+// distSpec assembles a SweepSpec from the program and grid flags; nil
+// when no program was named (pure server mode).
+func distSpec(prog *programFlags, gflags *gridFlags, solve dist.SolveSpec) (*dist.SweepSpec, error) {
+	if *prog.name == "" && *prog.file == "" {
 		return nil, nil
 	}
-	spec := &dist.SweepSpec{
-		ProgramSpec: dist.ProgramSpec{Program: name, Size: size, Iters: iters},
-		SolveSpec: dist.SolveSpec{Exact: exact, Confidence: conf, Width: width,
-			Adaptive: adaptive},
-		PadArray:    padArray,
-		UnitSize:    unitSize,
-		Prune:       prune,
-		PruneKeep:   pruneKeep,
-		PruneMargin: pruneMargin,
+	if *prog.name != "" && *prog.file != "" {
+		return nil, fmt.Errorf("dist coordinate: set -program or -file, not both")
 	}
-	if file != "" {
-		if name != "" {
-			return nil, fmt.Errorf("dist coordinate: set -program or -file, not both")
-		}
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return nil, err
-		}
-		spec.Source = string(src)
-		spec.Program = ""
-		if consts != "" {
-			spec.Consts = map[string]int64{}
-			for _, kv := range strings.Split(consts, ",") {
-				parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
-				if len(parts) != 2 {
-					return nil, fmt.Errorf("bad -const entry %q (want NAME=value)", kv)
-				}
-				var v int64
-				if _, err := fmt.Sscanf(parts[1], "%d", &v); err != nil {
-					return nil, fmt.Errorf("bad -const value in %q: %v", kv, err)
-				}
-				spec.Consts[strings.ToUpper(parts[0])] = v
-			}
-		}
-	}
-	var err error
-	if spec.CacheSizes, err = parseInt64List(sizes); err != nil {
-		return nil, err
-	}
-	if spec.LineSizes, err = parseInt64List(lines); err != nil {
-		return nil, err
-	}
-	ks, err := parseInt64List(assocs)
+	ps, err := prog.spec()
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range ks {
-		spec.Assocs = append(spec.Assocs, int(k))
+	g, err := gflags.grid()
+	if err != nil {
+		return nil, err
 	}
-	if padArray != "" {
-		if spec.Pads, err = parseInt64List(pads); err != nil {
-			return nil, err
-		}
-	}
-	return spec, nil
+	return &dist.SweepSpec{ProgramSpec: ps, SolveSpec: solve, CacheSizes: g.CacheSizes,
+		LineSizes: g.LineSizes, Assocs: g.Assocs, PadArray: g.PadArray, Pads: g.Pads}, nil
 }
 
 // programLabel names the run for the report.

@@ -53,17 +53,19 @@ type distBenchReport struct {
 // are byte-compared against a single-process SolveBatch baseline. With
 // check, any bit-identity violation fails, and on a machine with real
 // parallelism (>= 4 CPUs) so does a 4-worker speedup under 1.5x.
-func benchDist(name, file, consts string, size, iters int64, wcounts []int64, out string, check bool) error {
-	// A fixed 48-geometry exact grid: big enough that work stealing and
-	// the lease protocol are exercised, small enough for a CI smoke run.
-	spec, err := distSpec(name, file, consts, size, iters,
-		"1024,2048,4096,8192,16384,32768,65536,131072", "16,32,64", "1,2",
-		"", "", true, 0, 0, false, 0, false, 0, 0)
+func benchDist(prog *programFlags, wcounts []int64, out string, check bool) error {
+	ps, err := prog.spec()
 	if err != nil {
 		return err
 	}
-	if spec == nil {
-		return fmt.Errorf("bench -dist: no program (set -program or -file)")
+	// A fixed 48-geometry exact grid: big enough that work stealing and
+	// the lease protocol are exercised, small enough for a CI smoke run.
+	spec := &dist.SweepSpec{
+		ProgramSpec: ps,
+		SolveSpec:   dist.SolveSpec{Exact: true},
+		CacheSizes:  []int64{1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072},
+		LineSizes:   []int64{16, 32, 64},
+		Assocs:      []int{1, 2},
 	}
 
 	ctx := context.Background()
@@ -83,7 +85,7 @@ func benchDist(name, file, consts string, size, iters int64, wcounts []int64, ou
 		}
 	}
 
-	rep := distBenchReport{Program: name, Size: size, Iters: iters, Exact: true,
+	rep := distBenchReport{Program: prog.label(), Size: *prog.size, Iters: *prog.iters, Exact: true,
 		Candidates: len(baseline), GoMaxProcs: runtime.GOMAXPROCS(0), LocalNs: localNs}
 	var w1Ns int64
 	for _, wc := range wcounts {

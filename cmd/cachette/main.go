@@ -30,15 +30,12 @@ import (
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
 	"cachemodel/internal/experiments"
-	"cachemodel/internal/fparse"
 	"cachemodel/internal/inline"
 	"cachemodel/internal/ir"
-	"cachemodel/internal/kernels"
-	"cachemodel/internal/layout"
-	"cachemodel/internal/normalize"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/reuse"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
 )
 
@@ -115,85 +112,125 @@ observability (analyze, bench, sweep):
 `)
 }
 
-// loadProgram loads a program: from a FORTRAN source file when file is
-// set (consts like "N=100,M=50" fix the compile-time sizes), otherwise a
-// built-in workload at the requested size.
-func loadProgram(file, consts, name string, size, iters int64) (*ir.Program, error) {
-	if file == "" {
-		return buildProgram(name, size, iters)
+// programFlags are the program-selection flags every program-taking
+// subcommand shares. They resolve to the shared request model, so the
+// CLI names, builds and prepares programs exactly as serve and dist do.
+type programFlags struct {
+	name, file, consts *string
+	size, iters        *int64
+}
+
+// newProgramFlags registers -program, -file, -const, -iters and, when
+// size > 0, -size, with the subcommand's defaults.
+func newProgramFlags(fs *flag.FlagSet, name string, size, iters int64) *programFlags {
+	f := &programFlags{
+		name:   fs.String("program", name, "built-in program name (see cachette list)"),
+		file:   fs.String("file", "", "FORTRAN source file to use instead of a built-in"),
+		consts: fs.String("const", "", "compile-time constants for -file, e.g. N=100,M=50"),
+		size:   new(int64),
+		iters:  fs.Int64("iters", iters, "outer iterations (whole programs)"),
 	}
-	src, err := os.ReadFile(file)
+	if size > 0 {
+		f.size = fs.Int64("size", size, "problem size")
+	}
+	return f
+}
+
+// spec resolves the flags; -file wins over -program.
+func (f *programFlags) spec() (spec.Program, error) {
+	ps := spec.Program{Program: *f.name, Size: *f.size, Iters: *f.iters}
+	if *f.file == "" {
+		return ps, nil
+	}
+	src, err := os.ReadFile(*f.file)
+	if err != nil {
+		return spec.Program{}, err
+	}
+	ps.Program, ps.Source = "", string(src)
+	ps.Consts, err = parseConsts(*f.consts)
+	return ps, err
+}
+
+// build instantiates the raw program.
+func (f *programFlags) build() (*ir.Program, error) {
+	ps, err := f.spec()
 	if err != nil {
 		return nil, err
 	}
-	cm := map[string]int64{}
-	if consts != "" {
-		for _, kv := range strings.Split(consts, ",") {
-			parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("bad -const entry %q (want NAME=value)", kv)
-			}
-			v, err := strconv.ParseInt(parts[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad -const value in %q: %v", kv, err)
-			}
-			cm[strings.ToUpper(parts[0])] = v
-		}
-	}
-	return fparse.Parse(string(src), cm)
+	return ps.Build(0)
 }
 
-// buildProgram instantiates a built-in workload at the requested size.
-func buildProgram(name string, size, iters int64) (*ir.Program, error) {
-	switch strings.ToLower(name) {
-	case "tomcatv":
-		return kernels.Tomcatv(size, iters), nil
-	case "swim":
-		return kernels.Swim(size, iters), nil
-	case "applu":
-		return kernels.Applu(size, iters), nil
-	case "vcycle":
-		return kernels.VCycle(size, iters), nil
+// prepare builds the program and runs the front end.
+func (f *programFlags) prepare() (*ir.NProgram, *inline.Stats, error) {
+	ps, err := f.spec()
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, spec := range kernels.Suite() {
-		if strings.EqualFold(spec.Name, name) {
-			return spec.Build(size), nil
+	return ps.Prepare(0)
+}
+
+// label names the program for reports: the source file or the built-in.
+func (f *programFlags) label() string {
+	if *f.file != "" {
+		return *f.file
+	}
+	return *f.name
+}
+
+// parseConsts parses -const "N=100,M=50" into compile-time constants.
+func parseConsts(s string) (map[string]int64, error) {
+	if s == "" {
+		return nil, nil
+	}
+	cm := map[string]int64{}
+	for _, kv := range strings.Split(s, ",") {
+		parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
+		if len(parts) != 2 {
+			return nil, fmt.Errorf("bad -const entry %q (want NAME=value)", kv)
 		}
+		v, err := strconv.ParseInt(parts[1], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad -const value in %q: %v", kv, err)
+		}
+		cm[strings.ToUpper(parts[0])] = v
 	}
-	return nil, fmt.Errorf("unknown program %q (try: cachette list)", name)
+	return cm, nil
 }
 
 func cmdList() error {
 	fmt.Println("whole programs (-program, -size, -iters):")
-	fmt.Printf("  %-10s %s\n", "tomcatv", "SPECfp95 Tomcatv model; -size = N, -iters = time steps")
-	fmt.Printf("  %-10s %s\n", "swim", "SPECfp95 Swim model (CALC1/2/3 calls); -size = N, -iters = cycles")
-	fmt.Printf("  %-10s %s\n", "applu", "SPECfp95 Applu model (SSOR, 16 subroutines); -size = N, -iters = itmax")
-	fmt.Printf("  %-10s %s\n", "vcycle", "3-level multigrid V-cycle (R-able + sequence-associated calls); -size = N (mult. of 4, >= 16)")
+	for _, b := range spec.Builtins() {
+		if b.Whole {
+			fmt.Printf("  %-10s %s\n", b.Name, b.Description)
+		}
+	}
 	fmt.Println("kernels (-program, -size):")
-	for _, spec := range kernels.Suite() {
+	for _, b := range spec.Builtins() {
+		if b.Whole {
+			continue
+		}
 		exact := ""
-		if spec.Uniform {
+		if b.Uniform {
 			exact = " [exactly analysable]"
 		}
-		fmt.Printf("  %-10s %s%s\n", spec.Name, spec.Description, exact)
+		fmt.Printf("  %-10s %s%s\n", b.Name, b.Description, exact)
 	}
 	return nil
 }
 
-func prepare(p *ir.Program) (*ir.NProgram, *inline.Stats, error) {
-	flat, st, err := inline.Flatten(p, inline.Options{})
+// parseAndPrepare builds and prepares the program under the "parse" and
+// "prepare" run-report spans.
+func parseAndPrepare(ctx context.Context, prog *programFlags) (*ir.NProgram, error) {
+	_, pspan := obs.StartSpan(ctx, "parse")
+	p, err := prog.build()
+	pspan.End()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	np, err := normalize.Normalize(flat)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := layout.AssignProgram(np, layout.Options{}); err != nil {
-		return nil, nil, err
-	}
-	np.Name = p.Name
-	return np, st, nil
+	_, prspan := obs.StartSpan(ctx, "prepare")
+	np, _, err := spec.Pipeline(p, spec.Front{})
+	prspan.End()
+	return np, err
 }
 
 func cacheFlags(fs *flag.FlagSet) (cs, ls *int64, assoc *int) {
@@ -238,11 +275,7 @@ func printProvenance(rep *cme.Report, limited bool) {
 
 func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to analyse instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file, e.g. N=100,M=50")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
+	prog := newProgramFlags(fs, "hydro", 32, 2)
 	cs, ls, assoc := cacheFlags(fs)
 	exact := fs.Bool("exact", false, "run FindMisses (every point) instead of EstimateMisses")
 	conf := fs.Float64("c", 0.95, "confidence level for EstimateMisses")
@@ -265,15 +298,7 @@ func cmdAnalyze(args []string) error {
 	defer stop()
 	ctx = or.Context(ctx)
 
-	_, pspan := obs.StartSpan(ctx, "parse")
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
-	pspan.End()
-	if err != nil {
-		return err
-	}
-	_, prspan := obs.StartSpan(ctx, "prepare")
-	np, _, err := prepare(p)
-	prspan.End()
+	np, err := parseAndPrepare(ctx, prog)
 	if err != nil {
 		return err
 	}
@@ -311,7 +336,7 @@ func cmdAnalyze(args []string) error {
 	if *exact {
 		mode = "FindMisses"
 	}
-	fmt.Printf("%s  %s  cache %s\n", p.Name, mode, cfg)
+	fmt.Printf("%s  %s  cache %s\n", np.Name, mode, cfg)
 	fmt.Printf("  references: %d   accesses: %d\n", len(rep.Refs), rep.TotalAccesses())
 	fmt.Printf("  miss ratio: %.2f%%   estimated misses: %.0f   time: %.3fs\n",
 		rep.MissRatio(), rep.EstimatedMisses(), rep.Elapsed.Seconds())
@@ -329,7 +354,7 @@ func cmdAnalyze(args []string) error {
 				rr.Ref.ID, rr.Volume, rr.Analyzed, 100*rr.MissRatio(), rr.Cold, rr.Repl)
 		}
 	}
-	if err := or.finish(ctx, p.Name, rep, nil); err != nil {
+	if err := or.finish(ctx, np.Name, rep, nil); err != nil {
 		return err
 	}
 	// A partial (interrupted, non-degraded) analysis exits non-zero so
@@ -339,21 +364,13 @@ func cmdAnalyze(args []string) error {
 
 func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to simulate instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
+	prog := newProgramFlags(fs, "hydro", 32, 2)
 	cs, ls, assoc := cacheFlags(fs)
 	timeout, maxPoints, maxScan, _ := budgetFlags(fs)
 	pstart, pstop, _ := profileFlags(fs)
 	fs.Parse(args)
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
-	if err != nil {
-		return err
-	}
-	np, _, err := prepare(p)
+	np, _, err := prog.prepare()
 	if err != nil {
 		return err
 	}
@@ -371,7 +388,7 @@ func cmdSimulate(args []string) error {
 	if res == nil {
 		return ierr
 	}
-	fmt.Printf("%s  simulator  cache %s\n", p.Name, cfg)
+	fmt.Printf("%s  simulator  cache %s\n", np.Name, cfg)
 	fmt.Printf("  accesses: %d   misses: %d   miss ratio: %.2f%%\n",
 		res.Accesses, res.Misses, res.MissRatio())
 	if res.Truncated {
@@ -438,24 +455,16 @@ func cmdExperiments(args []string) error {
 
 func cmdShow(args []string) error {
 	fs := flag.NewFlagSet("show", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to show instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 8, "problem size")
-	iters := fs.Int64("iters", 1, "outer iterations")
+	prog := newProgramFlags(fs, "hydro", 8, 1)
 	vectors := fs.Bool("vectors", false, "print every reuse vector")
 	fs.Parse(args)
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
-	if err != nil {
-		return err
-	}
-	np, st, err := prepare(p)
+	np, st, err := prog.prepare()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s: normalised to depth %d, %d statements, %d references, %d arrays\n",
-		p.Name, np.Depth, len(np.Stmts), len(np.Refs), len(np.Arrays))
+		np.Name, np.Depth, len(np.Stmts), len(np.Refs), len(np.Arrays))
 	fmt.Printf("inlining: %d calls (%d inlined, %d system), actuals P/R/N = %d/%d/%d\n",
 		st.Calls, st.Inlined, st.SystemCalls, st.PAble, st.RAble, st.NAble)
 	for _, s := range np.Stmts {
@@ -479,20 +488,12 @@ func cmdShow(args []string) error {
 
 func cmdDiagnose(args []string) error {
 	fs := flag.NewFlagSet("diagnose", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to diagnose instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
+	prog := newProgramFlags(fs, "hydro", 32, 2)
 	cs, ls, assoc := cacheFlags(fs)
 	top := fs.Int("top", 10, "interference pairs to print")
 	fs.Parse(args)
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
-	if err != nil {
-		return err
-	}
-	np, _, err := prepare(p)
+	np, _, err := prog.prepare()
 	if err != nil {
 		return err
 	}
@@ -501,7 +502,7 @@ func cmdDiagnose(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s  diagnosis  cache %s  (%.3fs)\n", p.Name, cfg, d.Elapsed.Seconds())
+	fmt.Printf("%s  diagnosis  cache %s  (%.3fs)\n", np.Name, cfg, d.Elapsed.Seconds())
 	fmt.Printf("  miss ratio %.2f%%  (cold %.0f, replacement %.0f of %.0f accesses)\n",
 		d.MissRatio(), d.Cold, d.Repl, d.Accesses)
 	fmt.Printf("  self-interference share of replacement misses: %.0f%%\n", 100*d.SelfInterference)
@@ -515,20 +516,12 @@ func cmdDiagnose(args []string) error {
 
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to trace instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 16, "problem size")
-	iters := fs.Int64("iters", 1, "outer iterations (whole programs)")
+	prog := newProgramFlags(fs, "hydro", 16, 1)
 	out := fs.String("out", "-", "output path (default stdout)")
 	limit := fs.Int64("limit", 0, "stop after this many accesses (0 = all)")
 	fs.Parse(args)
 
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
-	if err != nil {
-		return err
-	}
-	np, _, err := prepare(p)
+	np, _, err := prog.prepare()
 	if err != nil {
 		return err
 	}

@@ -15,8 +15,7 @@ import (
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/fparse"
-	"cachemodel/internal/ir"
+	"cachemodel/internal/spec"
 )
 
 // ladderFlags registers the size-ladder flags shared by `scaling` and
@@ -38,57 +37,23 @@ func ladderFlags(fs *flag.FlagSet) func() ([]int64, error) {
 			}
 			return out, nil
 		}
-		if *step <= 0 || *to < *from {
-			return nil, fmt.Errorf("bad ladder: from %d to %d step %d", *from, *to, *step)
-		}
-		var out []int64
-		for n := *from; n <= *to; n += *step {
-			out = append(out, n)
-		}
-		return out, nil
+		return spec.Ladder(*from, *to, *step, maxLadder)
 	}
 }
 
-// scalingBuild returns the scaling tier's program family: a built-in
-// workload parameterised by size, or a FORTRAN source whose size constant
-// is rebound per instantiation.
-func scalingBuild(file, consts, sizeConst, name string, iters int64) (cme.BuildFunc, error) {
-	if file == "" {
-		return func(n int64) (*ir.NProgram, error) {
-			p, err := buildProgram(name, n, iters)
-			if err != nil {
-				return nil, err
-			}
-			np, _, err := prepare(p)
-			return np, err
-		}, nil
-	}
-	src, err := os.ReadFile(file)
+// maxLadder caps a generated size ladder (and a sweep's cache-size
+// ladder): past it the range is an argument error, not an allocation.
+const maxLadder = 65536
+
+// family resolves the program flags to the scaling tier's program
+// family: a built-in parameterised by size, or a FORTRAN source whose
+// size constant is rebound per instantiation.
+func family(prog *programFlags, sizeConst string) (cme.BuildFunc, error) {
+	ps, err := prog.spec()
 	if err != nil {
 		return nil, err
 	}
-	return func(n int64) (*ir.NProgram, error) {
-		cm := map[string]int64{strings.ToUpper(sizeConst): n}
-		if consts != "" {
-			for _, kv := range strings.Split(consts, ",") {
-				parts := strings.SplitN(strings.TrimSpace(kv), "=", 2)
-				if len(parts) != 2 {
-					return nil, fmt.Errorf("bad -const entry %q (want NAME=value)", kv)
-				}
-				v, err := strconv.ParseInt(parts[1], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad -const value in %q: %v", kv, err)
-				}
-				cm[strings.ToUpper(parts[0])] = v
-			}
-		}
-		p, err := fparse.Parse(string(src), cm)
-		if err != nil {
-			return nil, err
-		}
-		np, _, err := prepare(p)
-		return np, err
-	}, nil
+	return ps.Family(sizeConst, 0)
 }
 
 // cmdScaling answers "how does the miss ratio scale with the problem
@@ -98,11 +63,8 @@ func scalingBuild(file, consts, sizeConst, name string, iters int64) (cme.BuildF
 // cover.
 func cmdScaling(args []string) error {
 	fs := flag.NewFlagSet("scaling", flag.ExitOnError)
-	name := fs.String("program", "tomcatv", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to analyse instead of a built-in")
-	consts := fs.String("const", "", "fixed compile-time constants for -file, e.g. M=50")
+	prog := newProgramFlags(fs, "tomcatv", 0, 1)
 	sizeConst := fs.String("size-const", "N", "the -file constant that carries the problem size")
-	iters := fs.Int64("iters", 1, "outer iterations (whole programs)")
 	cs, ls, assoc := cacheFlags(fs)
 	ladder := ladderFlags(fs)
 	workers := fs.Int("workers", 0, "parallel workers for the internal fit solves (0 = GOMAXPROCS)")
@@ -114,7 +76,7 @@ func cmdScaling(args []string) error {
 	if err != nil {
 		return err
 	}
-	build, err := scalingBuild(*file, *consts, *sizeConst, *name, *iters)
+	build, err := family(prog, *sizeConst)
 	if err != nil {
 		return err
 	}
@@ -133,11 +95,7 @@ func cmdScaling(args []string) error {
 	}
 	elapsed := time.Since(start)
 
-	label := *name
-	if *file != "" {
-		label = *file
-	}
-	fmt.Printf("%s  scaling  cache %s\n", label, cfg)
+	fmt.Printf("%s  scaling  cache %s\n", prog.label(), cfg)
 	if !s.ClosedFormEligible() {
 		fmt.Printf("  family not liftable (%s): every size solved by fall-through\n", s.Why())
 	} else {
@@ -235,10 +193,10 @@ type scalingBenchReport struct {
 // benchScaling is `cachette bench -scaling`: one symbolic solve plus O(1)
 // evaluations against per-size re-enumeration over the same ladder, with
 // a bit-identity match check at every size.
-func benchScaling(ctx context.Context, name, file, consts, sizeConst string, iters int64,
+func benchScaling(ctx context.Context, prog *programFlags, sizeConst string,
 	cfg cache.Config, workers int, ns []int64, out string, check bool) error {
 
-	build, err := scalingBuild(file, consts, sizeConst, name, iters)
+	build, err := family(prog, sizeConst)
 	if err != nil {
 		return err
 	}
@@ -293,13 +251,10 @@ func benchScaling(ctx context.Context, name, file, consts, sizeConst string, ite
 
 	st := s.Stats()
 	rep := scalingBenchReport{
-		Program: name, Cache: cfg.String(), Iters: iters,
+		Program: prog.label(), Cache: cfg.String(), Iters: *prog.iters,
 		GoMaxProcs: runtime.GOMAXPROCS(0), Workers: workers,
 		Ladder: ns, Period: s.Period(), FitSolves: st.FitSolves,
 		PrepNs: prepNs, ClosedNs: symTotal, ExactNs: exactTotal,
-	}
-	if file != "" {
-		rep.Program = file
 	}
 	if symTotal > 0 {
 		rep.Speedup = float64(exactTotal) / float64(symTotal)

@@ -11,11 +11,11 @@ import (
 	"strings"
 	"time"
 
-	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/layout"
+	"cachemodel/internal/ir"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 	"cachemodel/internal/trace"
 )
 
@@ -80,19 +80,11 @@ type sweepReport struct {
 // is recorded; the command fails if the batch is slower.
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	name := fs.String("program", "hydro", "built-in program name")
-	file := fs.String("file", "", "FORTRAN source file to sweep instead of a built-in")
-	consts := fs.String("const", "", "compile-time constants for -file")
-	size := fs.Int64("size", 32, "problem size")
-	iters := fs.Int64("iters", 2, "outer iterations (whole programs)")
-	sizes := fs.String("sizes", "4096,8192,16384,32768,65536", "cache sizes in bytes, comma separated")
+	prog := newProgramFlags(fs, "hydro", 32, 2)
+	gflags := newGridFlags(fs)
 	sizesFrom := fs.Int64("sizes-from", 0, "generate a cache-size ladder from this many bytes (with -sizes-to/-sizes-step; replaces -sizes)")
 	sizesTo := fs.Int64("sizes-to", 0, "ladder upper bound in bytes, inclusive")
 	sizesStep := fs.Int64("sizes-step", 0, "ladder step in bytes")
-	lines := fs.String("lines", "32", "line sizes in bytes, comma separated")
-	assocs := fs.String("assocs", "1,2,4", "associativities, comma separated")
-	padArray := fs.String("pad-array", "", "array to pad: crosses the geometry grid with one layout candidate per -pads entry")
-	pads := fs.String("pads", "", "paddings in elements for -pad-array, comma separated (0 = the baseline layout)")
 	exact := fs.Bool("exact", false, "solve every candidate exactly (FindMisses tier) instead of sampling")
 	conf := fs.Float64("c", 0.95, "confidence level for the sampled tier")
 	width := fs.Float64("w", 0.05, "confidence interval half-width for the sampled tier")
@@ -118,88 +110,33 @@ func cmdSweep(args []string) error {
 	defer stop()
 	ctx = or.Context(ctx)
 
-	_, pspan := obs.StartSpan(ctx, "parse")
-	p, err := loadProgram(*file, *consts, *name, *size, *iters)
-	pspan.End()
+	np, err := parseAndPrepare(ctx, prog)
 	if err != nil {
 		return err
 	}
-	_, prspan := obs.StartSpan(ctx, "prepare")
-	np, _, err := prepare(p)
-	prspan.End()
-	if err != nil {
-		return err
-	}
-	css, err := parseInt64List(*sizes)
+	grid, err := gflags.grid()
 	if err != nil {
 		return err
 	}
 	if *sizesFrom > 0 {
-		// The ladder is sized arithmetically before materialisation, so a
-		// huge range is an argument error rather than an allocation.
-		if *sizesStep <= 0 || *sizesTo < *sizesFrom {
-			return fmt.Errorf("sweep: -sizes-from needs -sizes-to >= it and -sizes-step > 0")
-		}
-		n := (*sizesTo-*sizesFrom)/(*sizesStep) + 1
-		if n > 65536 {
-			return fmt.Errorf("sweep: size ladder has %d entries (max 65536)", n)
-		}
-		css = css[:0]
-		for i := int64(0); i < n; i++ {
-			css = append(css, *sizesFrom+i*(*sizesStep))
+		if grid.CacheSizes, err = spec.Ladder(*sizesFrom, *sizesTo, *sizesStep, maxLadder); err != nil {
+			return fmt.Errorf("sweep: -sizes-from/-sizes-to/-sizes-step: %v", err)
 		}
 	}
-	lss, err := parseInt64List(*lines)
-	if err != nil {
-		return err
-	}
-	kss, err := parseInt64List(*assocs)
-	if err != nil {
-		return err
-	}
-	var padList []int64
-	if *padArray != "" {
-		if padList, err = parseInt64List(*pads); err != nil {
-			return err
-		}
-	}
-	if len(padList) == 0 {
-		padList = []int64{0}
-	}
-
 	// The candidate grid. Pad 0 means the baseline layout (nil Layout).
 	// Invalid geometries stay in the grid: SolveBatch records them as
 	// per-candidate errors, so the JSON report carries the whole grid
 	// instead of silently dropping rows.
-	var cands []cme.Candidate
-	var padOf []int64 // parallel to cands, for reporting and -check
-	for _, cs := range css {
-		for _, ls := range lss {
-			for _, k := range kss {
-				cfg := cache.Config{SizeBytes: cs, LineBytes: ls, Assoc: int(k)}
-				for _, pad := range padList {
-					c := cme.Candidate{Label: cfg.String(), Config: cfg}
-					if pad > 0 {
-						c.Label = fmt.Sprintf("%s+pad%d", cfg.String(), pad)
-						c.Layout = &layout.Options{PadOf: map[string]int64{*padArray: pad}}
-					}
-					cands = append(cands, c)
-					padOf = append(padOf, pad)
-				}
-			}
-		}
+	cells, err := grid.Cells(0)
+	if err != nil {
+		return err
 	}
-	if len(cands) == 0 {
-		return fmt.Errorf("sweep: empty candidate grid")
-	}
+	cands := spec.Candidates(cells)
 
 	opt := cme.Options{Adaptive: *adaptive, NoSymbolic: *noSymbolic, ProfileLabels: prof()}
-	var plan *sampling.Plan
-	if !*exact {
-		plan = &sampling.Plan{C: *conf, W: *width}
-		if err := plan.Validate(); err != nil {
-			return err
-		}
+	plan, err := spec.Plan(*exact, *conf, *width)
+	if err != nil {
+		return err
 	}
 	var rc *cme.ResultCache
 	if *rcFile != "" {
@@ -232,7 +169,7 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	rep := sweepReport{Program: p.Name, Size: *size, Iters: *iters, Exact: *exact,
+	rep := sweepReport{Program: np.Name, Size: *prog.size, Iters: *prog.iters, Exact: *exact,
 		Candidates: len(cands), GoMaxProcs: runtime.GOMAXPROCS(0), Workers: *workers,
 		BatchNs: batchNs}
 	if plan != nil {
@@ -308,7 +245,7 @@ func cmdSweep(args []string) error {
 			if reps[i] == nil {
 				continue // failed candidate; its error is recorded on the row
 			}
-			want, err := soloSolve(*file, *consts, *name, *size, *iters, c, opt, plan)
+			want, err := soloSolve(prog, c, opt, plan)
 			if err != nil {
 				return fmt.Errorf("sweep -check: %s: %v", c.Label, err)
 			}
@@ -330,12 +267,12 @@ func cmdSweep(args []string) error {
 		}
 	}
 
-	fmt.Printf("%s — cache design sweep (%d candidates, one batch)\n", p.Name, len(cands))
+	fmt.Printf("%s — cache design sweep (%d candidates, one batch)\n", np.Name, len(cands))
 	fmt.Printf("%10s %6s %6s %8s %10s %6s %10s\n", "size", "line", "assoc", "pad", "est %MR", "tier", "sim %MR")
 	var cprov []obs.CandidateProvenance
 	for i, c := range cands {
 		row := sweepResult{Label: c.Label, CacheSize: c.Config.SizeBytes, LineSize: c.Config.LineBytes,
-			Assoc: c.Config.Assoc, Pad: padOf[i]}
+			Assoc: c.Config.Assoc, Pad: cells[i].Pad}
 		cp := obs.CandidateProvenance{Label: c.Label}
 		r := reps[i]
 		if r == nil {
@@ -346,7 +283,7 @@ func cmdSweep(args []string) error {
 			rep.Results = append(rep.Results, row)
 			cprov = append(cprov, cp)
 			fmt.Printf("%10d %6d %6d %8d %29s\n",
-				c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, padOf[i], "error: "+row.Error)
+				c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, cells[i].Pad, "error: "+row.Error)
 			continue
 		}
 		row.MissRatio = r.MissRatio()
@@ -357,7 +294,7 @@ func cmdSweep(args []string) error {
 		cp.MissRatioPct = row.MissRatio
 		simCol := "-"
 		if *sim {
-			sr, err := simulateUnder(*file, *consts, *name, *size, *iters, c)
+			sr, err := simulateUnder(prog, c)
 			if err != nil {
 				return err
 			}
@@ -367,7 +304,7 @@ func cmdSweep(args []string) error {
 		rep.Results = append(rep.Results, row)
 		cprov = append(cprov, cp)
 		fmt.Printf("%10d %6d %6d %8d %10.2f %6s %10s\n",
-			c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, padOf[i], row.MissRatio, row.Tier, simCol)
+			c.Config.SizeBytes, c.Config.LineBytes, c.Config.Assoc, cells[i].Pad, row.MissRatio, row.Tier, simCol)
 	}
 
 	blob, err := json.MarshalIndent(&rep, "", "  ")
@@ -381,7 +318,7 @@ func cmdSweep(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "cachette sweep: wrote %s\n", *out)
 	}
-	if err := or.finish(ctx, p.Name, nil, cprov); err != nil {
+	if err := or.finish(ctx, np.Name, nil, cprov); err != nil {
 		return err
 	}
 	// Per-candidate failures surface after the report is on disk: scripts
@@ -390,6 +327,42 @@ func cmdSweep(args []string) error {
 		return berr
 	}
 	return nil
+}
+
+// gridFlags are the cache design-space flags shared by `sweep` and
+// `dist coordinate`.
+type gridFlags struct {
+	sizes, lines, assocs, padArray, pads *string
+}
+
+func newGridFlags(fs *flag.FlagSet) *gridFlags {
+	return &gridFlags{
+		sizes:    fs.String("sizes", "4096,8192,16384,32768,65536", "cache sizes in bytes, comma separated"),
+		lines:    fs.String("lines", "32", "line sizes in bytes, comma separated"),
+		assocs:   fs.String("assocs", "1,2,4", "associativities, comma separated"),
+		padArray: fs.String("pad-array", "", "array to pad: crosses the geometry grid with one layout candidate per -pads entry"),
+		pads:     fs.String("pads", "", "paddings in elements for -pad-array, comma separated (0 = the baseline layout)"),
+	}
+}
+
+// grid parses the flags into the shared design-space grid.
+func (f *gridFlags) grid() (spec.Grid, error) {
+	g := spec.Grid{PadArray: *f.padArray}
+	var err error
+	if g.CacheSizes, err = parseInt64List(*f.sizes); err != nil {
+		return g, err
+	}
+	if g.LineSizes, err = parseInt64List(*f.lines); err != nil {
+		return g, err
+	}
+	if g.Pads, err = parseInt64List(*f.pads); err != nil {
+		return g, err
+	}
+	ks, err := parseInt64List(*f.assocs)
+	for _, k := range ks {
+		g.Assocs = append(g.Assocs, int(k))
+	}
+	return g, err
 }
 
 // parseInt64List parses a comma-separated integer list.
@@ -412,19 +385,10 @@ func parseInt64List(s string) ([]int64, error) {
 // soloSolve runs the classic per-candidate pipeline from scratch — load,
 // inline, normalise, lay out (with the candidate's padding), analyse — the
 // baseline the batch solver is measured and verified against.
-func soloSolve(file, consts, name string, size, iters int64, c cme.Candidate, opt cme.Options, plan *sampling.Plan) (*cme.Report, error) {
-	p, err := loadProgram(file, consts, name, size, iters)
+func soloSolve(prog *programFlags, c cme.Candidate, opt cme.Options, plan *sampling.Plan) (*cme.Report, error) {
+	np, err := prepareUnder(prog, c)
 	if err != nil {
 		return nil, err
-	}
-	np, _, err := prepare(p)
-	if err != nil {
-		return nil, err
-	}
-	if c.Layout != nil {
-		if err := layout.AssignProgram(np, *c.Layout); err != nil {
-			return nil, err
-		}
 	}
 	a, err := cme.New(np, c.Config, opt)
 	if err != nil {
@@ -434,6 +398,21 @@ func soloSolve(file, consts, name string, size, iters int64, c cme.Candidate, op
 		return a.FindMisses(), nil
 	}
 	return a.EstimateMisses(*plan)
+}
+
+// prepareUnder builds the program afresh and runs the front end with the
+// candidate's layout.
+func prepareUnder(prog *programFlags, c cme.Candidate) (*ir.NProgram, error) {
+	p, err := prog.build()
+	if err != nil {
+		return nil, err
+	}
+	var fe spec.Front
+	if c.Layout != nil {
+		fe.Layout = *c.Layout
+	}
+	np, _, err := spec.Pipeline(p, fe)
+	return np, err
 }
 
 // sweepSameReport verifies bit-identity between a batch report and its
@@ -460,19 +439,10 @@ func sweepSameReport(want, got *cme.Report, label string) error {
 // simulateUnder replays the exact simulator for one candidate on a fresh
 // build of the program (simulation is display-only and documented slow, so
 // a rebuild per candidate keeps the layout handling trivially correct).
-func simulateUnder(file, consts, name string, size, iters int64, c cme.Candidate) (float64, error) {
-	p, err := loadProgram(file, consts, name, size, iters)
+func simulateUnder(prog *programFlags, c cme.Candidate) (float64, error) {
+	np, err := prepareUnder(prog, c)
 	if err != nil {
 		return 0, err
-	}
-	np, _, err := prepare(p)
-	if err != nil {
-		return 0, err
-	}
-	if c.Layout != nil {
-		if err := layout.AssignProgram(np, *c.Layout); err != nil {
-			return 0, err
-		}
 	}
 	return trace.Simulate(np, c.Config).MissRatio(), nil
 }

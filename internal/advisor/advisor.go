@@ -24,12 +24,11 @@ import (
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/inline"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/layout"
-	"cachemodel/internal/normalize"
 	"cachemodel/internal/poly"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 )
 
 // Interference is one cell of the interference matrix: sampled evidence
@@ -210,7 +209,7 @@ func SearchPaddingCtx(ctx context.Context, build func() *ir.Program, array strin
 	cfg cache.Config, opt cme.Options, plan sampling.Plan, b budget.Budget) ([]Choice, error) {
 
 	if b.IsZero() {
-		np, err := prepare(build(), layout.Options{})
+		np, _, err := spec.Pipeline(build(), spec.Front{})
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +238,7 @@ func SearchPaddingCtx(ctx context.Context, build func() *ir.Program, array strin
 
 	var out []Choice
 	for _, pad := range pads {
-		np, err := prepare(build(), layout.Options{PadOf: map[string]int64{array: pad}})
+		np, _, err := spec.Pipeline(build(), spec.Front{Layout: layout.Options{PadOf: map[string]int64{array: pad}}})
 		if err != nil {
 			return nil, err
 		}
@@ -265,7 +264,7 @@ func SearchPaddingCtx(ctx context.Context, build func() *ir.Program, array strin
 func SearchConfigs(ctx context.Context, build func() *ir.Program, cfgs []cache.Config,
 	opt cme.Options, plan *sampling.Plan) ([]Choice, error) {
 
-	np, err := prepare(build(), layout.Options{})
+	np, _, err := spec.Pipeline(build(), spec.Front{})
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +317,7 @@ func SearchParameterCtx(ctx context.Context, build func(param int64) *ir.Program
 	}
 	var out []Choice
 	for _, v := range params {
-		np, err := prepare(build(v), layout.Options{})
+		np, _, err := spec.Pipeline(build(v), spec.Front{})
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +339,8 @@ func searchParameterClosed(ctx context.Context, build func(param int64) *ir.Prog
 	cfg cache.Config, opt cme.Options, plan sampling.Plan) ([]Choice, bool, error) {
 
 	s, err := cme.PrepareScaling(func(n int64) (*ir.NProgram, error) {
-		return prepare(build(n), layout.Options{})
+		np, _, err := spec.Pipeline(build(n), spec.Front{})
+		return np, err
 	}, cfg, opt, cme.ScalingOptions{})
 	if err != nil || !s.ClosedFormEligible() {
 		return nil, false, nil
@@ -393,7 +393,7 @@ func searchParameterClosed(ctx context.Context, build func(param int64) *ir.Prog
 			out = append(out, Choice{Label: label, MissRatio: c.ratio, ClosedForm: true})
 			continue
 		}
-		np, err := prepare(build(c.v), layout.Options{})
+		np, _, err := spec.Pipeline(build(c.v), spec.Front{})
 		if err != nil {
 			return nil, true, err
 		}
@@ -437,21 +437,6 @@ func Frontier(sorted []Choice, keep int, marginPct float64) []Choice {
 
 func sortChoices(cs []Choice) {
 	sort.Slice(cs, func(i, j int) bool { return cs[i].MissRatio < cs[j].MissRatio })
-}
-
-func prepare(p *ir.Program, lopt layout.Options) (*ir.NProgram, error) {
-	flat, _, err := inline.Flatten(p, inline.Options{})
-	if err != nil {
-		return nil, err
-	}
-	np, err := normalize.Normalize(flat)
-	if err != nil {
-		return nil, err
-	}
-	if err := layout.AssignProgram(np, lopt); err != nil {
-		return nil, err
-	}
-	return np, nil
 }
 
 func estimateCtx(ctx context.Context, np *ir.NProgram, cfg cache.Config, opt cme.Options, plan sampling.Plan, b budget.Budget) (float64, error) {

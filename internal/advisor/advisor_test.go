@@ -12,6 +12,7 @@ import (
 	"cachemodel/internal/kernels"
 	"cachemodel/internal/layout"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 )
 
 func plan() sampling.Plan { return sampling.Plan{C: 0.95, W: 0.05} }
@@ -34,7 +35,7 @@ func conflictProgram(n int64) *ir.Program {
 // TestDiagnoseCrossInterference: the diagnosis must name B as the top
 // interferer evicting A's lines (and vice versa) in the conflict program.
 func TestDiagnoseCrossInterference(t *testing.T) {
-	np, err := prepare(conflictProgram(4096), layoutOptions())
+	np, _, err := spec.Pipeline(conflictProgram(4096), spec.Front{Layout: layoutOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestDiagnoseSelfInterference(t *testing.T) {
 		End().End()
 	p := ir.NewProgram("SELF")
 	p.Add(b.Build())
-	np, err := prepare(p, layoutOptions())
+	np, _, err := spec.Pipeline(p, spec.Front{Layout: layoutOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestSearchParameterClosedFormPrunes(t *testing.T) {
 		if builtAt[v] != 0 {
 			t.Errorf("dominated candidate %d was instantiated %d times", v, builtAt[v])
 		}
-		np, err := prepare(conflictProgram(v), layoutOptions())
+		np, _, err := spec.Pipeline(conflictProgram(v), spec.Front{Layout: layoutOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -174,8 +174,12 @@ func TestTightDeadlineReturnsFast(t *testing.T) {
 	start := time.Now()
 	rep, err := a.FindMissesCtx(context.Background(), budget.Budget{Deadline: time.Millisecond})
 	wall := time.Since(start)
-	if wall > 50*time.Millisecond {
-		t.Fatalf("1ms-deadline run took %s, want < 50ms", wall)
+	limit := 50 * time.Millisecond
+	if raceEnabled {
+		limit = 500 * time.Millisecond
+	}
+	if wall > limit {
+		t.Fatalf("1ms-deadline run took %s, want < %s", wall, limit)
 	}
 	if err != nil && !errors.Is(err, cerr.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want nil (degraded) or ErrBudgetExceeded", err)

@@ -531,49 +531,50 @@ func (p *Prepared) fitAndFill(col *geomColumn, gopt GeomOptions, ri int, refuse 
 	}
 }
 
-// geomRefFit is one (column, reference, residue class) fitted counter set.
+// geomRefFit is one (column, reference, residue class) fitted counter
+// set: plain polynomials in the set count (the residue class is fixed).
 type geomRefFit struct {
 	ok               bool
-	hits, cold, repl []linalg.Rat // power-basis coefficients
+	hits, cold, repl qpoly.QPoly
 }
 
-// fitClass fits one residue class's anchor samples and verifies the
-// holdouts. Inside the certified stable region the counts are constant,
-// so the default degree-0 fit always holds; the holdout verification is
-// defense in depth for non-default shapes.
+// fitClass fits one residue class's anchor samples through the one fit
+// engine: qpoly.FitPoly interpolates the first Degree+1 samples by set
+// count and verifies every further one exactly, so Verify of them must
+// exist. Inside the certified stable region the counts are constant, so
+// the default degree-0 fit always holds; the verification is defense in
+// depth for non-default shapes. Equal set counts (a size listed twice in
+// one column) collapse to one sample when their counts agree — FitPoly
+// rejects duplicate abscissae — and refuse the class when they differ.
 func fitClass(gopt GeomOptions, samples []geomSample) *geomRefFit {
-	needFit := gopt.Degree + 1
-	if len(samples) < needFit+gopt.Verify {
+	if len(samples) < gopt.Degree+1+gopt.Verify {
 		return &geomRefFit{}
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i].s < samples[j].s })
-	fitOn, holdout := samples[:needFit], samples[needFit:]
-	mk := func(sel func(geomSample) int64) ([]linalg.Rat, bool) {
-		in := make([]qpoly.Sample, len(fitOn))
-		for i, s := range fitOn {
+	uniq := make([]geomSample, 0, len(samples))
+	for i, s := range samples {
+		if i > 0 && s.s == samples[i-1].s {
+			if s != samples[i-1] {
+				return &geomRefFit{}
+			}
+			continue
+		}
+		uniq = append(uniq, s)
+	}
+	fit := func(sel func(geomSample) int64) (qpoly.QPoly, bool) {
+		in := make([]qpoly.Sample, len(uniq))
+		for i, s := range uniq {
 			in[i] = qpoly.Sample{N: s.s, V: linalg.RatInt(sel(s))}
 		}
-		coef, err := qpoly.FitPoly(gopt.Degree, in)
-		if err != nil {
-			return nil, false
-		}
-		for _, s := range holdout {
-			v, ok := evalPolyAt(coef, s.s)
-			if !ok || v != sel(s) {
-				return nil, false
-			}
-		}
-		return coef, true
+		q, err := fitCounter(gopt.Degree, in)
+		return q, err == nil
 	}
 	f := &geomRefFit{}
 	var ok1, ok2, ok3 bool
-	f.hits, ok1 = mk(func(s geomSample) int64 { return s.hits })
-	f.cold, ok2 = mk(func(s geomSample) int64 { return s.cold })
-	f.repl, ok3 = mk(func(s geomSample) int64 { return s.repl })
-	if !ok1 || !ok2 || !ok3 {
-		return &geomRefFit{}
-	}
-	f.ok = true
+	f.hits, ok1 = fit(func(s geomSample) int64 { return s.hits })
+	f.cold, ok2 = fit(func(s geomSample) int64 { return s.cold })
+	f.repl, ok3 = fit(func(s geomSample) int64 { return s.repl })
+	f.ok = ok1 && ok2 && ok3
 	return f
 }
 
@@ -581,22 +582,11 @@ func fitClass(gopt GeomOptions, samples []geomSample) *geomRefFit {
 // count identities: integral, non-negative, summing to the volume.
 func (f *geomRefFit) eval(s, volume int64) (hits, cold, repl int64, ok bool) {
 	var k1, k2, k3 bool
-	hits, k1 = evalPolyAt(f.hits, s)
-	cold, k2 = evalPolyAt(f.cold, s)
-	repl, k3 = evalPolyAt(f.repl, s)
+	hits, k1 = f.hits.EvalInt(s)
+	cold, k2 = f.cold.EvalInt(s)
+	repl, k3 = f.repl.EvalInt(s)
 	if !k1 || !k2 || !k3 || hits < 0 || cold < 0 || repl < 0 || hits+cold+repl != volume {
 		return 0, 0, 0, false
 	}
 	return hits, cold, repl, true
-}
-
-// evalPolyAt evaluates power-basis rational coefficients at n, requiring
-// an integral result.
-func evalPolyAt(coef []linalg.Rat, n int64) (int64, bool) {
-	acc := linalg.RatInt(0)
-	x := linalg.RatInt(n)
-	for i := len(coef) - 1; i >= 0; i-- {
-		acc = acc.Mul(x).Add(coef[i])
-	}
-	return acc.Int()
 }

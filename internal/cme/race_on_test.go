@@ -1,0 +1,7 @@
+//go:build race
+
+package cme
+
+// raceEnabled reports that the race detector instruments this test
+// binary, which slows code down several-fold and makes it allocate.
+const raceEnabled = true

@@ -358,26 +358,11 @@ func (c *Coordinator) AddSweep(ctx context.Context, spec *SweepSpec) (*SweepStat
 // re-applies it instead of re-running the solve pass (which would make
 // startup arbitrarily slow for a journal full of prune sweeps).
 func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledPrune *map[int]Row, replay bool) (*SweepStatus, error) {
-	wcs, err := spec.grid()
+	r, err := spec.resolve(c.opt.MaxProblemSize, c.opt.MaxCandidates)
 	if err != nil {
 		return nil, err
 	}
-	if len(wcs) > c.opt.MaxCandidates {
-		return nil, fmt.Errorf("candidate grid of %d exceeds the coordinator limit %d", len(wcs), c.opt.MaxCandidates)
-	}
-	np, err := spec.ProgramSpec.build(c.opt.MaxProblemSize)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := cme.Prepare(np, spec.options())
-	if err != nil {
-		return nil, err
-	}
-	plan, err := spec.plan()
-	if err != nil {
-		return nil, err
-	}
-	cands := candidates(wcs)
+	wcs, cands, prep, plan := r.wcs, r.cands, r.prep, r.plan
 	id := sweepID(prep.SolveKey(cands, plan), spec)
 
 	// Trace context: an obs collector in ctx wins (in-process submitter),
@@ -423,7 +408,7 @@ func (c *Coordinator) addSweep(ctx context.Context, spec *SweepSpec, journalledP
 	ss := &sweepState{
 		id:         id,
 		spec:       spec,
-		program:    np.Name,
+		program:    r.program,
 		wcs:        wcs,
 		traceID:    traceID,
 		parentSpan: parentSpan,

@@ -28,100 +28,18 @@ package dist
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"time"
 
 	"cachemodel/internal/budget"
-	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/fparse"
-	"cachemodel/internal/inline"
-	"cachemodel/internal/ir"
-	"cachemodel/internal/kernels"
-	"cachemodel/internal/layout"
-	"cachemodel/internal/normalize"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 )
 
-// ProgramSpec names the program a sweep analyses: a built-in workload
-// (Program) or inline FORTRAN source (Source, with compile-time Consts).
-// It mirrors the serve layer's wire form so clients can reuse payloads.
-type ProgramSpec struct {
-	Program string           `json:"program,omitempty"`
-	Source  string           `json:"source,omitempty"`
-	Consts  map[string]int64 `json:"consts,omitempty"`
-	Size    int64            `json:"size,omitempty"`  // default 32
-	Iters   int64            `json:"iters,omitempty"` // default 2
-}
-
-// build instantiates and prepares the program (inline, normalise, assign
-// the baseline layout). maxSize <= 0 means no size bound (workers trust
-// the coordinator's admission).
-func (s *ProgramSpec) build(maxSize int64) (*ir.NProgram, error) {
-	p, err := s.program(maxSize)
-	if err != nil {
-		return nil, err
-	}
-	flat, _, err := inline.Flatten(p, inline.Options{})
-	if err != nil {
-		return nil, err
-	}
-	np, err := normalize.Normalize(flat)
-	if err != nil {
-		return nil, err
-	}
-	if err := layout.AssignProgram(np, layout.Options{}); err != nil {
-		return nil, err
-	}
-	np.Name = p.Name
-	return np, nil
-}
-
-// program instantiates the raw IR program from the spec.
-func (s *ProgramSpec) program(maxSize int64) (*ir.Program, error) {
-	size, iters := s.Size, s.Iters
-	if size == 0 {
-		size = 32
-	}
-	if iters == 0 {
-		iters = 2
-	}
-	if size < 1 || iters < 1 {
-		return nil, fmt.Errorf("size and iters must be positive (got %d, %d)", size, iters)
-	}
-	if maxSize > 0 && size > maxSize {
-		return nil, fmt.Errorf("size %d exceeds the coordinator limit %d", size, maxSize)
-	}
-	if s.Source != "" {
-		if s.Program != "" {
-			return nil, fmt.Errorf("set program or source, not both")
-		}
-		cm := map[string]int64{}
-		for k, v := range s.Consts {
-			cm[strings.ToUpper(k)] = v
-		}
-		return fparse.Parse(s.Source, cm)
-	}
-	switch strings.ToLower(s.Program) {
-	case "":
-		return nil, fmt.Errorf("missing program (or inline source)")
-	case "tomcatv":
-		return kernels.Tomcatv(size, iters), nil
-	case "swim":
-		return kernels.Swim(size, iters), nil
-	case "applu":
-		return kernels.Applu(size, iters), nil
-	case "vcycle":
-		return kernels.VCycle(size, iters), nil
-	}
-	for _, ks := range kernels.Suite() {
-		if strings.EqualFold(ks.Name, s.Program) {
-			return ks.Build(size), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown program %q", s.Program)
-}
+// ProgramSpec names the program a sweep analyses: a built-in workload or
+// inline FORTRAN source. It is the shared request model, so the serve
+// layer's payloads are reusable here byte for byte.
+type ProgramSpec = spec.Program
 
 // SolveSpec is the result-affecting solve mode shared by a sweep and its
 // units: it must travel with every unit so a worker reproduces exactly
@@ -136,25 +54,6 @@ type SolveSpec struct {
 	// for unbudgeted sweeps, exactly as for SolveBatch itself.
 	MaxPoints int64 `json:"max_points,omitempty"`
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// plan validates the sampled-tier parameters (nil when exact).
-func (s SolveSpec) plan() (*sampling.Plan, error) {
-	if s.Exact {
-		return nil, nil
-	}
-	conf, width := s.Confidence, s.Width
-	if conf == 0 {
-		conf = 0.95
-	}
-	if width == 0 {
-		width = 0.05
-	}
-	plan := &sampling.Plan{C: conf, W: width}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
 }
 
 // options maps the spec to solver options.
@@ -225,80 +124,45 @@ func (s *SweepSpec) pruneMargin() float64 {
 	return s.PruneMargin
 }
 
-// grid materialises the candidate grid in deterministic order — the order
-// is part of the sweep's content address and of the merged report.
-// Invalid geometries stay in the grid and fail per candidate, exactly as
-// in `cachette sweep`.
-func (s *SweepSpec) grid() ([]WireCandidate, error) {
-	css := s.CacheSizes
-	if len(css) == 0 {
-		css = []int64{4096, 8192, 16384, 32768, 65536}
+// resolved is a sweep resolved the one way the coordinator and the
+// single-process baseline share: the candidate grid in its deterministic
+// order (part of the sweep's content address and of the merged report)
+// with its solver candidates, the prepared program and the sampling plan.
+type resolved struct {
+	program string
+	wcs     []WireCandidate
+	cands   []cme.Candidate
+	prep    *cme.Prepared
+	plan    *sampling.Plan
+}
+
+// resolve resolves the sweep; maxSize and maxCells > 0 apply the
+// coordinator's admission limits.
+func (s *SweepSpec) resolve(maxSize int64, maxCells int) (*resolved, error) {
+	wcs, err := spec.Grid{CacheSizes: s.CacheSizes, LineSizes: s.LineSizes, Assocs: s.Assocs,
+		PadArray: s.PadArray, Pads: s.Pads}.Cells(maxCells)
+	if err != nil {
+		return nil, err
 	}
-	lss := s.LineSizes
-	if len(lss) == 0 {
-		lss = []int64{32}
+	np, _, err := s.ProgramSpec.Prepare(maxSize)
+	if err != nil {
+		return nil, err
 	}
-	kss := s.Assocs
-	if len(kss) == 0 {
-		kss = []int{1, 2, 4}
+	prep, err := cme.Prepare(np, s.options())
+	if err != nil {
+		return nil, err
 	}
-	padList := s.Pads
-	if s.PadArray == "" && len(padList) > 0 {
-		return nil, fmt.Errorf("pads given without pad_array")
+	plan, err := spec.Plan(s.Exact, s.Confidence, s.Width)
+	if err != nil {
+		return nil, err
 	}
-	if len(padList) == 0 {
-		padList = []int64{0}
-	}
-	var wcs []WireCandidate
-	for _, cs := range css {
-		for _, ls := range lss {
-			for _, k := range kss {
-				cfg := cache.Config{SizeBytes: cs, LineBytes: ls, Assoc: k}
-				for _, pad := range padList {
-					wc := WireCandidate{Label: cfg.String(),
-						CacheBytes: cs, LineBytes: ls, Assoc: k}
-					if pad > 0 {
-						wc.Label = fmt.Sprintf("%s+pad%d", cfg.String(), pad)
-						wc.PadArray, wc.Pad = s.PadArray, pad
-					}
-					wcs = append(wcs, wc)
-				}
-			}
-		}
-	}
-	return wcs, nil
+	return &resolved{program: np.Name, wcs: wcs, cands: spec.Candidates(wcs), prep: prep, plan: plan}, nil
 }
 
 // WireCandidate is the explicit wire form of one cme.Candidate: geometry
 // plus optional padding layout, self-contained so a worker reconstructs
 // the exact candidate without sharing memory with the coordinator.
-type WireCandidate struct {
-	Label      string `json:"label"`
-	CacheBytes int64  `json:"cache_bytes"`
-	LineBytes  int64  `json:"line_bytes"`
-	Assoc      int    `json:"assoc"`
-	PadArray   string `json:"pad_array,omitempty"`
-	Pad        int64  `json:"pad,omitempty"`
-}
-
-// candidate reconstructs the solver candidate.
-func (wc WireCandidate) candidate() cme.Candidate {
-	c := cme.Candidate{Label: wc.Label,
-		Config: cache.Config{SizeBytes: wc.CacheBytes, LineBytes: wc.LineBytes, Assoc: wc.Assoc}}
-	if wc.Pad > 0 && wc.PadArray != "" {
-		c.Layout = &layout.Options{PadOf: map[string]int64{wc.PadArray: wc.Pad}}
-	}
-	return c
-}
-
-// candidates converts a wire slice for the solver.
-func candidates(wcs []WireCandidate) []cme.Candidate {
-	out := make([]cme.Candidate, len(wcs))
-	for i, wc := range wcs {
-		out[i] = wc.candidate()
-	}
-	return out
-}
+type WireCandidate = spec.Cell
 
 // RefRow is the per-reference row of a candidate result: the raw counts,
 // so bit-identity between a distributed and a single-process run is
@@ -347,30 +211,18 @@ func (s *SweepSpec) SolveLocal(ctx context.Context, workers int) ([]Row, error) 
 	if s.Prune {
 		return nil, errors.New("dist: SolveLocal is incompatible with prune")
 	}
-	wcs, err := s.grid()
+	r, err := s.resolve(0, 0)
 	if err != nil {
 		return nil, err
 	}
-	np, err := s.ProgramSpec.build(0)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := cme.Prepare(np, s.options())
-	if err != nil {
-		return nil, err
-	}
-	plan, err := s.plan()
-	if err != nil {
-		return nil, err
-	}
-	reps, err := prep.SolveBatch(ctx, candidates(wcs), cme.BatchOptions{
-		Plan: plan, Workers: workers, Budget: s.SolveSpec.budget(),
+	reps, err := r.prep.SolveBatch(ctx, r.cands, cme.BatchOptions{
+		Plan: r.plan, Workers: workers, Budget: s.SolveSpec.budget(),
 	})
 	var be *cme.BatchError
 	if err != nil && !errors.As(err, &be) {
 		return nil, err
 	}
-	return RenderRows(wcs, reps, err), nil
+	return RenderRows(r.wcs, reps, err), nil
 }
 
 // RenderRows renders a solve outcome into wire rows, index-aligned with

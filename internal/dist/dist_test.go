@@ -33,24 +33,12 @@ func testSpec() *SweepSpec {
 // the byte-level ground truth every distributed schedule must reproduce.
 func baselineRows(t *testing.T, spec *SweepSpec) []Row {
 	t.Helper()
-	wcs, err := spec.grid()
+	r, err := spec.resolve(0, 0)
 	if err != nil {
-		t.Fatalf("grid: %v", err)
+		t.Fatalf("resolve: %v", err)
 	}
-	np, err := spec.ProgramSpec.build(0)
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	prep, err := cme.Prepare(np, spec.options())
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	plan, err := spec.plan()
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	reps, err := prep.SolveBatch(context.Background(), candidates(wcs), cme.BatchOptions{Plan: plan})
-	return RenderRows(wcs, reps, err)
+	reps, err := r.prep.SolveBatch(context.Background(), r.cands, cme.BatchOptions{Plan: r.plan})
+	return RenderRows(r.wcs, reps, err)
 }
 
 func mustJSON(t *testing.T, v any) string {
@@ -392,15 +380,15 @@ func TestJournalResume(t *testing.T) {
 		t.Fatalf("lease status %q", lr.Status)
 	}
 	// Solve the leased unit out of band, exactly as a worker would.
-	np, err := spec.ProgramSpec.build(0)
+	r, err := spec.resolve(0, 0)
 	if err != nil {
-		t.Fatalf("build: %v", err)
+		t.Fatalf("resolve: %v", err)
 	}
-	prep, err := cme.Prepare(np, spec.options())
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
+	var cands []cme.Candidate
+	for _, wc := range lr.Unit.Candidates {
+		cands = append(cands, wc.Candidate())
 	}
-	reps, serr := prep.SolveBatch(context.Background(), candidates(lr.Unit.Candidates), cme.BatchOptions{})
+	reps, serr := r.prep.SolveBatch(context.Background(), cands, cme.BatchOptions{})
 	if err := a.Complete("pre", lr.Sweep, lr.Unit.Key, RenderRows(lr.Unit.Candidates, reps, serr), "", nil); err != nil {
 		t.Fatalf("Complete: %v", err)
 	}

@@ -23,13 +23,13 @@ var prunePlan = sampling.Plan{C: 0.9, W: 0.1}
 // incomplete coverage) are kept for the real solve rather than guessed
 // at.
 func pruneGrid(ctx context.Context, spec *SweepSpec, wcs []WireCandidate) (map[int]Row, error) {
-	p, err := spec.ProgramSpec.program(0)
+	p, err := spec.ProgramSpec.Build(0)
 	if err != nil {
 		return nil, err
 	}
 	cfgs := make([]cache.Config, len(wcs))
 	for i, wc := range wcs {
-		cfgs[i] = wc.candidate().Config
+		cfgs[i] = wc.Config()
 	}
 	choices, err := advisor.SearchConfigs(ctx, func() *ir.Program { return p }, cfgs, spec.options(), &prunePlan)
 	if err != nil && len(choices) == 0 {

@@ -13,6 +13,7 @@ import (
 	"cachemodel/internal/cme"
 	"cachemodel/internal/obs"
 	"cachemodel/internal/retry"
+	"cachemodel/internal/spec"
 )
 
 // ErrKilled is the chaos-test sentinel: a budget hook returning it makes
@@ -272,14 +273,14 @@ func (w *Worker) process(ctx context.Context, lr *LeaseResponse) error {
 	if w.opt.Hook != nil {
 		b.Hook = w.opt.Hook(u.Key)
 	}
-	plan, err := u.Solve.plan()
+	plan, err := spec.Plan(u.Solve.Exact, u.Solve.Confidence, u.Solve.Width)
 	var reps []*cme.Report
 	var solveErr error
 	solveStart := time.Now()
 	if err != nil {
 		solveErr = err
 	} else {
-		reps, solveErr = prep.SolveBatch(solveCtx, candidates(u.Candidates), cme.BatchOptions{
+		reps, solveErr = prep.SolveBatch(solveCtx, spec.Candidates(u.Candidates), cme.BatchOptions{
 			Plan:    plan,
 			Cache:   w.rc,
 			Workers: w.opt.SolveWorkers,
@@ -347,7 +348,7 @@ func (w *Worker) prepare(u *UnitSpec) (*cme.Prepared, error) {
 		return p.prep, p.err
 	}
 	p := &prepared{}
-	np, err := u.Program.build(0)
+	np, _, err := u.Program.Prepare(0)
 	if err == nil {
 		p.prep, p.err = cme.Prepare(np, u.Solve.options())
 	} else {

@@ -8,25 +8,14 @@ import (
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/fparse"
-	"cachemodel/internal/inline"
 	"cachemodel/internal/ir"
-	"cachemodel/internal/kernels"
-	"cachemodel/internal/layout"
-	"cachemodel/internal/normalize"
 	"cachemodel/internal/sampling"
+	"cachemodel/internal/spec"
 )
 
 // ProgramSpec names the program a request wants analysed: a built-in
-// workload (Program) or inline FORTRAN source (Source, with compile-time
-// Consts). Exactly one of the two must be set.
-type ProgramSpec struct {
-	Program string           `json:"program,omitempty"`
-	Source  string           `json:"source,omitempty"`
-	Consts  map[string]int64 `json:"consts,omitempty"`
-	Size    int64            `json:"size,omitempty"`  // default 32
-	Iters   int64            `json:"iters,omitempty"` // default 2
-}
+// workload or inline FORTRAN source (the shared request model).
+type ProgramSpec = spec.Program
 
 // BudgetSpec is the per-request analysis budget. Zero fields inherit the
 // server defaults; TimeoutMs is clamped to the server's MaxDeadline either
@@ -104,88 +93,6 @@ func parsePriority(s string) (int, error) {
 	return 0, fmt.Errorf("unknown priority %q (want interactive or batch)", s)
 }
 
-// buildProgram instantiates the requested program: inline source through
-// the FORTRAN front end, otherwise a built-in workload by name.
-func buildProgram(spec *ProgramSpec, maxSize int64) (*ir.Program, error) {
-	size, iters := spec.Size, spec.Iters
-	if size == 0 {
-		size = 32
-	}
-	if iters == 0 {
-		iters = 2
-	}
-	if size < 1 || iters < 1 {
-		return nil, fmt.Errorf("size and iters must be positive (got %d, %d)", size, iters)
-	}
-	if size > maxSize {
-		return nil, fmt.Errorf("size %d exceeds the server limit %d", size, maxSize)
-	}
-	if spec.Source != "" {
-		if spec.Program != "" {
-			return nil, fmt.Errorf("set program or source, not both")
-		}
-		cm := map[string]int64{}
-		for k, v := range spec.Consts {
-			cm[strings.ToUpper(k)] = v
-		}
-		return fparse.Parse(spec.Source, cm)
-	}
-	switch strings.ToLower(spec.Program) {
-	case "":
-		return nil, fmt.Errorf("missing program (or inline source)")
-	case "tomcatv":
-		return kernels.Tomcatv(size, iters), nil
-	case "swim":
-		return kernels.Swim(size, iters), nil
-	case "applu":
-		return kernels.Applu(size, iters), nil
-	case "vcycle":
-		return kernels.VCycle(size, iters), nil
-	}
-	for _, ks := range kernels.Suite() {
-		if strings.EqualFold(ks.Name, spec.Program) {
-			return ks.Build(size), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown program %q", spec.Program)
-}
-
-// prepareProgram runs the front half of the pipeline: inline, normalise,
-// assign the baseline layout.
-func prepareProgram(p *ir.Program) (*ir.NProgram, error) {
-	flat, _, err := inline.Flatten(p, inline.Options{})
-	if err != nil {
-		return nil, err
-	}
-	np, err := normalize.Normalize(flat)
-	if err != nil {
-		return nil, err
-	}
-	if err := layout.AssignProgram(np, layout.Options{}); err != nil {
-		return nil, err
-	}
-	np.Name = p.Name
-	return np, nil
-}
-
-// buildPlan validates the sampled-tier parameters (nil when exact).
-func buildPlan(exact bool, conf, width float64) (*sampling.Plan, error) {
-	if exact {
-		return nil, nil
-	}
-	if conf == 0 {
-		conf = 0.95
-	}
-	if width == 0 {
-		width = 0.05
-	}
-	plan := &sampling.Plan{C: conf, W: width}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
 // buildBudget maps a request budget onto budget.Budget under the server
 // limits. Every job gets a deadline (MaxDeadline when unspecified) and a
 // point cap (DefaultMaxPoints when unspecified): an unmetered job could
@@ -212,15 +119,56 @@ func (o *Options) buildBudget(bs BudgetSpec) (budget.Budget, error) {
 
 // specFromAnalyze validates an analyze request into a jobSpec.
 func (o *Options) specFromAnalyze(req *AnalyzeRequest) (*jobSpec, error) {
-	p, err := buildProgram(&req.ProgramSpec, o.MaxProblemSize)
+	cfg := cacheConfig(req.CacheBytes, req.LineBytes, req.Assoc)
+	return o.newJob(&req.ProgramSpec, []cme.Candidate{{Label: cfg.String(), Config: cfg}},
+		req.Exact, req.Confidence, req.Width, req.Adaptive, req.Budget)
+}
+
+// specFromSweep validates a sweep request into a jobSpec with the full
+// candidate grid, mirroring `cachette sweep`: invalid geometries stay in
+// the grid and fail per candidate, and pad 0 means the baseline layout.
+func (o *Options) specFromSweep(req *SweepRequest) (*jobSpec, error) {
+	cells, err := spec.Grid{CacheSizes: req.CacheSizes, LineSizes: req.LineSizes, Assocs: req.Assocs,
+		PadArray: req.PadArray, Pads: req.Pads}.Cells(o.MaxCandidates)
 	if err != nil {
 		return nil, err
 	}
-	np, err := prepareProgram(p)
+	return o.newJob(&req.ProgramSpec, spec.Candidates(cells),
+		req.Exact, req.Confidence, req.Width, req.Adaptive, req.Budget)
+}
+
+// newJob resolves the program through the shared front end and arms the
+// plan and the budget under the server limits.
+func (o *Options) newJob(ps *ProgramSpec, cands []cme.Candidate, exact bool, conf, width float64,
+	adaptive bool, bs BudgetSpec) (*jobSpec, error) {
+
+	np, _, err := ps.Prepare(o.MaxProblemSize)
 	if err != nil {
 		return nil, err
 	}
-	cfg := cache.Config{SizeBytes: req.CacheBytes, LineBytes: req.LineBytes, Assoc: req.Assoc}
+	plan, err := spec.Plan(exact, conf, width)
+	if err != nil {
+		return nil, err
+	}
+	bud, err := o.buildBudget(bs)
+	if err != nil {
+		return nil, err
+	}
+	return &jobSpec{
+		program: np.Name,
+		np:      np,
+		opt:     cme.Options{Adaptive: adaptive},
+		cands:   cands,
+		plan:    plan,
+		bud:     bud,
+		cost:    bud.MaxPoints,
+	}, nil
+}
+
+// cacheConfig applies the single-geometry defaults: 32 KB, 32-byte lines,
+// direct mapped.
+func cacheConfig(size, line int64, assoc int) cache.Config {
+	cfg := cache.Config{SizeBytes: size, LineBytes: line, Assoc: assoc}
 	if cfg.SizeBytes == 0 {
 		cfg.SizeBytes = 32 * 1024
 	}
@@ -230,90 +178,5 @@ func (o *Options) specFromAnalyze(req *AnalyzeRequest) (*jobSpec, error) {
 	if cfg.Assoc == 0 {
 		cfg.Assoc = 1
 	}
-	plan, err := buildPlan(req.Exact, req.Confidence, req.Width)
-	if err != nil {
-		return nil, err
-	}
-	bud, err := o.buildBudget(req.Budget)
-	if err != nil {
-		return nil, err
-	}
-	return &jobSpec{
-		program: p.Name,
-		np:      np,
-		opt:     cme.Options{Adaptive: req.Adaptive},
-		cands:   []cme.Candidate{{Label: cfg.String(), Config: cfg}},
-		plan:    plan,
-		bud:     bud,
-		cost:    bud.MaxPoints,
-	}, nil
-}
-
-// specFromSweep validates a sweep request into a jobSpec with the full
-// candidate grid, mirroring `cachette sweep`: invalid geometries stay in
-// the grid and fail per candidate, and pad 0 means the baseline layout.
-func (o *Options) specFromSweep(req *SweepRequest) (*jobSpec, error) {
-	p, err := buildProgram(&req.ProgramSpec, o.MaxProblemSize)
-	if err != nil {
-		return nil, err
-	}
-	np, err := prepareProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	css := req.CacheSizes
-	if len(css) == 0 {
-		css = []int64{4096, 8192, 16384, 32768, 65536}
-	}
-	lss := req.LineSizes
-	if len(lss) == 0 {
-		lss = []int64{32}
-	}
-	kss := req.Assocs
-	if len(kss) == 0 {
-		kss = []int{1, 2, 4}
-	}
-	padList := req.Pads
-	if req.PadArray == "" && len(padList) > 0 {
-		return nil, fmt.Errorf("pads given without pad_array")
-	}
-	if len(padList) == 0 {
-		padList = []int64{0}
-	}
-	if n := len(css) * len(lss) * len(kss) * len(padList); n > o.MaxCandidates {
-		return nil, fmt.Errorf("candidate grid of %d exceeds the server limit %d", n, o.MaxCandidates)
-	}
-	var cands []cme.Candidate
-	for _, cs := range css {
-		for _, ls := range lss {
-			for _, k := range kss {
-				cfg := cache.Config{SizeBytes: cs, LineBytes: ls, Assoc: k}
-				for _, pad := range padList {
-					c := cme.Candidate{Label: cfg.String(), Config: cfg}
-					if pad > 0 {
-						c.Label = fmt.Sprintf("%s+pad%d", cfg.String(), pad)
-						c.Layout = &layout.Options{PadOf: map[string]int64{req.PadArray: pad}}
-					}
-					cands = append(cands, c)
-				}
-			}
-		}
-	}
-	plan, err := buildPlan(req.Exact, req.Confidence, req.Width)
-	if err != nil {
-		return nil, err
-	}
-	bud, err := o.buildBudget(req.Budget)
-	if err != nil {
-		return nil, err
-	}
-	return &jobSpec{
-		program: p.Name,
-		np:      np,
-		opt:     cme.Options{Adaptive: req.Adaptive},
-		cands:   cands,
-		plan:    plan,
-		bud:     bud,
-		cost:    bud.MaxPoints,
-	}, nil
+	return cfg
 }

@@ -13,9 +13,8 @@ import (
 	"cachemodel/internal/cache"
 	"cachemodel/internal/cerr"
 	"cachemodel/internal/cme"
-	"cachemodel/internal/fparse"
-	"cachemodel/internal/ir"
 	"cachemodel/internal/obs"
+	"cachemodel/internal/spec"
 )
 
 // ScalingRequest is the POST /v1/scaling body: one program family, one
@@ -59,10 +58,7 @@ type scalingSpec struct {
 func (o *Options) specFromScaling(req *ScalingRequest) (*jobSpec, error) {
 	iters := req.Iters
 	if iters == 0 {
-		iters = 2
-	}
-	if iters < 1 {
-		return nil, fmt.Errorf("iters must be positive (got %d)", iters)
+		iters = spec.DefaultIters
 	}
 	ns := req.Ns
 	if len(ns) == 0 {
@@ -76,29 +72,10 @@ func (o *Options) specFromScaling(req *ScalingRequest) (*jobSpec, error) {
 		if step == 0 {
 			step = 64
 		}
-		if step < 0 || to < from {
-			return nil, fmt.Errorf("bad ladder: from %d to %d step %d", from, to, step)
+		var err error
+		if ns, err = spec.Ladder(from, to, step, o.MaxCandidates); err != nil {
+			return nil, err
 		}
-		if from < 1 {
-			return nil, fmt.Errorf("ladder size %d must be positive", from)
-		}
-		if to > o.MaxProblemSize {
-			return nil, fmt.Errorf("ladder size %d exceeds the server limit %d", to, o.MaxProblemSize)
-		}
-		// from/to/step are request-controlled: size the ladder arithmetically
-		// before materializing it, so an absurd range is a 400 and not an
-		// admission-time OOM. Indexing by count (rather than n += step) also
-		// keeps a huge step from wrapping n past to.
-		count := (to-from)/step + 1
-		if count > int64(o.MaxCandidates) {
-			return nil, fmt.Errorf("ladder of %d sizes exceeds the server limit %d", count, o.MaxCandidates)
-		}
-		for i := int64(0); i < count; i++ {
-			ns = append(ns, from+i*step)
-		}
-	}
-	if len(ns) == 0 {
-		return nil, fmt.Errorf("empty size ladder")
 	}
 	if len(ns) > o.MaxCandidates {
 		return nil, fmt.Errorf("ladder of %d sizes exceeds the server limit %d", len(ns), o.MaxCandidates)
@@ -111,61 +88,21 @@ func (o *Options) specFromScaling(req *ScalingRequest) (*jobSpec, error) {
 			return nil, fmt.Errorf("ladder size %d exceeds the server limit %d", n, o.MaxProblemSize)
 		}
 	}
+	family := req.ProgramSpec
+	family.Iters = iters
+	build, err := family.Family(req.SizeConst, o.MaxProblemSize)
+	if err != nil {
+		return nil, err
+	}
+	label := req.Program
+	if req.Source != "" {
+		label = "source"
+	}
 	sizeConst := strings.ToUpper(req.SizeConst)
 	if sizeConst == "" {
 		sizeConst = "N"
 	}
-	var label string
-	var build cme.BuildFunc
-	switch {
-	case req.Source != "" && req.Program != "":
-		return nil, fmt.Errorf("set program or source, not both")
-	case req.Source != "":
-		label = "source"
-		src := req.Source
-		fixed := map[string]int64{}
-		for k, v := range req.Consts {
-			fixed[strings.ToUpper(k)] = v
-		}
-		build = func(n int64) (*ir.NProgram, error) {
-			cm := map[string]int64{sizeConst: n}
-			for k, v := range fixed {
-				cm[k] = v
-			}
-			p, err := fparse.Parse(src, cm)
-			if err != nil {
-				return nil, err
-			}
-			return prepareProgram(p)
-		}
-	default:
-		label = req.Program
-		// Validate the name once at admission (with any ladder size) so a
-		// bad program is a 400, not a failed job.
-		if _, err := buildProgram(&ProgramSpec{Program: req.Program, Size: ns[0], Iters: iters}, o.MaxProblemSize); err != nil {
-			return nil, err
-		}
-		spec := ProgramSpec{Program: req.Program, Iters: iters}
-		build = func(n int64) (*ir.NProgram, error) {
-			s := spec
-			s.Size = n
-			p, err := buildProgram(&s, o.MaxProblemSize)
-			if err != nil {
-				return nil, err
-			}
-			return prepareProgram(p)
-		}
-	}
-	cfg := cache.Config{SizeBytes: req.CacheBytes, LineBytes: req.LineBytes, Assoc: req.Assoc}
-	if cfg.SizeBytes == 0 {
-		cfg.SizeBytes = 32 * 1024
-	}
-	if cfg.LineBytes == 0 {
-		cfg.LineBytes = 32
-	}
-	if cfg.Assoc == 0 {
-		cfg.Assoc = 1
-	}
+	cfg := cacheConfig(req.CacheBytes, req.LineBytes, req.Assoc)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
