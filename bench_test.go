@@ -377,20 +377,33 @@ func BenchmarkNormalize(b *testing.B) {
 	}
 }
 
-// BenchmarkReuseGeneration measures reuse-vector derivation.
+// BenchmarkReuseGeneration measures reuse-vector derivation: Hydro 32,
+// and Applu N=8, whose 1255 inlined references in large uniform sets make
+// generation the biggest part of its setup.
 func BenchmarkReuseGeneration(b *testing.B) {
-	np := prepared(b, cachemodel.KernelHydro(32, 32))
-	cfg := cache.Default32K(2)
-	b.ResetTimer()
-	var total int
-	for i := 0; i < b.N; i++ {
-		vecs := reuse.Generate(np, cfg, reuse.Options{})
-		total = 0
-		for _, vs := range vecs {
-			total += len(vs)
-		}
+	for _, bc := range []struct {
+		name string
+		prog *cachemodel.Program
+	}{
+		{"hydro32", cachemodel.KernelHydro(32, 32)},
+		{"applu8", kernels.Applu(8, 1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			np := prepared(b, bc.prog)
+			cfg := cache.Default32K(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var total int
+			for i := 0; i < b.N; i++ {
+				vecs := reuse.Generate(np, cfg, reuse.Options{})
+				total = 0
+				for _, vs := range vecs {
+					total += len(vs)
+				}
+			}
+			b.ReportMetric(float64(total), "vectors")
+		})
 	}
-	b.ReportMetric(float64(total), "vectors")
 }
 
 // BenchmarkClassify measures single-access classification (the inner loop

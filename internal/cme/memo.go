@@ -107,11 +107,15 @@ func programTraits(np *ir.NProgram) *depthTraits {
 // vectors themselves, so one table serves every cache geometry and every
 // inter-array layout that shares the vectors' line size.
 func memoTable(np *ir.NProgram, vecs map[*ir.NRef][]*reuse.Vector) map[*reuse.Vector]memoInfo {
-	out := map[*reuse.Vector]memoInfo{}
 	n := np.Depth
 	if n == 0 || n > 64 {
-		return out
+		return map[*reuse.Vector]memoInfo{}
 	}
+	total := 0
+	for _, vs := range vecs {
+		total += len(vs)
+	}
+	out := make(map[*reuse.Vector]memoInfo, total)
 	t := programTraits(np)
 	for _, vs := range vecs {
 		for _, v := range vs {

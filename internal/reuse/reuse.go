@@ -16,10 +16,11 @@
 package reuse
 
 import (
-	"fmt"
+	"cmp"
+	"encoding/binary"
 	"runtime"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -67,15 +68,15 @@ func (v *Vector) Interleaved() []int64 {
 }
 
 // Compare orders vectors by the interleaved lexicographic order; ascending
-// order is most-recent-producer-first.
+// order is most-recent-producer-first. It walks LabelDiff[k], IdxDiff[k]
+// in turn rather than building Interleaved.
 func Compare(a, b *Vector) int {
-	ia, ib := a.Interleaved(), b.Interleaved()
-	for k := range ia {
-		if ia[k] != ib[k] {
-			if ia[k] < ib[k] {
-				return -1
-			}
-			return 1
+	for k := range a.LabelDiff {
+		if c := cmp.Compare(a.LabelDiff[k], b.LabelDiff[k]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.IdxDiff[k], b.IdxDiff[k]); c != 0 {
+			return c
 		}
 	}
 	return 0
@@ -84,12 +85,21 @@ func Compare(a, b *Vector) int {
 // nonNegative reports whether the interleaved vector is ⪰ 0; for the zero
 // vector the producer must precede the consumer textually.
 func (v *Vector) nonNegative() bool {
-	for _, x := range v.Interleaved() {
-		if x != 0 {
-			return x > 0
+	return nonNegativeDiff(v.LabelDiff, v.IdxDiff, v.Producer.Seq, v.Consumer.Seq)
+}
+
+// nonNegativeDiff is nonNegative over a displacement's parts and the
+// producer's and consumer's Seq.
+func nonNegativeDiff(labelDiff []int, idxDiff []int64, pSeq, cSeq int) bool {
+	for k := range labelDiff {
+		if labelDiff[k] != 0 {
+			return labelDiff[k] > 0
+		}
+		if idxDiff[k] != 0 {
+			return idxDiff[k] > 0
 		}
 	}
-	return v.Producer.Seq < v.Consumer.Seq
+	return pSeq < cSeq
 }
 
 // ProducerPoint maps a consumer iteration to the producer iteration the
@@ -130,18 +140,25 @@ func (v *Vector) ProducerPointBuf(idx []int64, lbuf *[]int, pbuf *[]int64) (labe
 }
 
 func (v *Vector) String() string {
-	parts := make([]string, 0, 2*len(v.LabelDiff))
-	for _, x := range v.Interleaved() {
-		parts = append(parts, fmt.Sprintf("%d", x))
-	}
-	kind := "T"
+	kind := byte('T')
 	if v.Spatial {
-		kind = "S"
+		kind = 'S'
 	}
 	if v.Cross {
-		kind = "X"
+		kind = 'X'
 	}
-	return fmt.Sprintf("%s(%s) %s<-%s", kind, strings.Join(parts, ","), v.Consumer.ID, v.Producer.ID)
+	b := append(make([]byte, 0, 64), kind, '(')
+	for i, x := range v.Interleaved() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, x, 10)
+	}
+	b = append(b, ") "...)
+	b = append(b, v.Consumer.ID...)
+	b = append(b, "<-"...)
+	b = append(b, v.Producer.ID...)
+	return string(b)
 }
 
 // Options tunes candidate generation.
@@ -182,30 +199,23 @@ func Generate(np *ir.NProgram, cfg cache.Config, opt Options) map[*ir.NRef][]*Ve
 	sets := UniformSets(np)
 	// genSet derives the sorted vector lists of one uniformly generated
 	// set. Sets are independent, so they generate in parallel below; each
-	// invocation owns a private generator (and displacement memo — the
-	// candidate sets depend only on (M, offset difference), which repeats
-	// heavily inside large sets such as Applu's 5×5 unrolled blocks).
+	// invocation owns a private generator: its scratch buffers and its
+	// displacement memo (the candidate sets depend only on (M, offset
+	// difference), which repeats heavily inside large sets such as
+	// Applu's 5×5 unrolled blocks).
 	genSet := func(set *UniformSet) map[*ir.NRef][]*Vector {
-		g := &generator{np: np, cfg: cfg, opt: opt, memo: map[string][][]int64{}}
+		g := newGenerator(np, cfg, opt, set)
 		part := make(map[*ir.NRef][]*Vector, len(set.Refs))
-		for _, rc := range set.Refs {
-			var vecs []*Vector
-			for _, rp := range set.Refs {
+		for ci, rc := range set.Refs {
+			cand := g.cand[:0]
+			for pi, rp := range set.Refs {
 				if opt.NoGroup && rp != rc {
 					continue
 				}
-				vecs = append(vecs, g.pair(rp, rc)...)
+				cand = g.pair(cand, pi, ci)
 			}
-			vecs = dedupe(vecs)
-			sort.Slice(vecs, func(i, j int) bool {
-				if c := Compare(vecs[i], vecs[j]); c != 0 {
-					return c < 0
-				}
-				// Equal displacement: prefer the textually later (more
-				// recent) producer.
-				return vecs[i].Producer.Seq > vecs[j].Producer.Seq
-			})
-			part[rc] = vecs
+			g.cand = cand
+			part[rc] = g.sorted(cand)
 		}
 		return part
 	}
@@ -257,13 +267,29 @@ type UniformSet struct {
 	Refs  []*ir.NRef
 }
 
+// uniformKey identifies a uniformly generated set: the array itself (two
+// distinct arrays that share a name stay apart) and the access matrix,
+// row-major as varints (every row has the program depth's length).
+type uniformKey struct {
+	array *ir.Array
+	m     string
+}
+
 // UniformSets partitions the program's references into uniformly generated
 // sets, in first-occurrence order.
 func UniformSets(np *ir.NProgram) []*UniformSet {
 	var sets []*UniformSet
-	byKey := map[string]*UniformSet{}
+	byKey := map[uniformKey]*UniformSet{}
+	var buf []byte
 	for _, r := range np.Refs {
-		key := uniformKey(np.Depth, r)
+		m, _ := r.AccessMatrix(np.Depth)
+		buf = buf[:0]
+		for _, row := range m {
+			for _, c := range row {
+				buf = binary.AppendVarint(buf, c)
+			}
+		}
+		key := uniformKey{array: r.Array, m: string(buf)}
 		s := byKey[key]
 		if s == nil {
 			s = &UniformSet{Array: r.Array}
@@ -275,138 +301,211 @@ func UniformSets(np *ir.NProgram) []*UniformSet {
 	return sets
 }
 
-func uniformKey(n int, r *ir.NRef) string {
-	m, _ := r.AccessMatrix(n)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|", r.Array.Name)
-	for _, row := range m {
-		for _, c := range row {
-			fmt.Fprintf(&b, "%d,", c)
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
+// generator derives the vectors of one uniform set. Every reference of the
+// set shares the array and the access matrix M, so everything but the
+// offset vectors is built once per set; a pair only subtracts offsets,
+// looks its right-hand sides up in the memo and filters the solutions.
 type generator struct {
-	np   *ir.NProgram
-	cfg  cache.Config
-	opt  Options
+	opt Options
+	set *UniformSet
+
+	m         *linalg.Mat // M (rank × n)
+	mDrop     *linalg.Mat // M′: M without its first row (0 × n for rank 1)
+	m1        linalg.Vec  // M's first row
+	offs      [][]int64   // offs[i]: offset vector of set.Refs[i]
+	lineElems int64
+	d1        int64 // leading dimension of the array
+
+	// memo maps a system's kind ('T', 'S' or 'X') and right-hand side to
+	// its displacement vectors; vectors alias the stored slices.
 	memo map[string][][]int64
+
+	// Scratch, reused across pairs and consumers.
+	key       []byte    // memo key
+	rhs       []int64   // temporal right-hand side mp − mc
+	cross     []int64   // cross-column right-hand side
+	label     []int     // the pair's label difference
+	lastLabel []int     // the label difference last handed to a vector
+	cand      []Vector  // one consumer's candidates, before ordering
+	order     []*Vector // cand, ordered
 }
 
-// memoised runs gen once per key and caches the produced displacement
-// vectors.
-func (g *generator) memoised(key string, gen func(yield func([]int64))) [][]int64 {
-	if got, ok := g.memo[key]; ok {
+func newGenerator(np *ir.NProgram, cfg cache.Config, opt Options, set *UniformSet) *generator {
+	n := np.Depth
+	g := &generator{opt: opt, set: set, memo: map[string][][]int64{}}
+	g.offs = make([][]int64, len(set.Refs))
+	var rows [][]int64
+	for i, r := range set.Refs {
+		m, off := r.AccessMatrix(n)
+		if i == 0 {
+			rows = m
+		}
+		g.offs[i] = off
+	}
+	rank := len(rows)
+	g.m = linalg.IntMat(rows...)
+	if rank > 1 {
+		g.mDrop = g.m.DropRow(0)
+	} else {
+		g.mDrop = linalg.NewMat(0, n)
+	}
+	if rank >= 1 {
+		g.m1 = g.m.Row(0)
+	}
+	g.lineElems = cfg.LineElems(set.Array.ElemSize)
+	if len(set.Array.Dims) > 0 {
+		g.d1 = set.Array.Dims[0]
+	}
+	g.rhs = make([]int64, rank)
+	g.cross = make([]int64, rank)
+	g.label = make([]int, n)
+	return g
+}
+
+// solutions returns the displacement vectors r of one system, memoised on
+// (kind, rhs):
+//
+//	'T' temporal (equation (1)):  M·r = rhs
+//	'S' spatial (equation (2)):   M′·r = rhs, with the first-subscript
+//	                              displacement M1·r − mpc0 within a line
+//	'X' cross-column (Fig. 3):    M·r = rhs
+//
+// The 'S' key also carries mpc0 = mp[0] − mc[0].
+func (g *generator) solutions(kind byte, rhs []int64, mpc0 int64) [][]int64 {
+	k := append(g.key[:0], kind)
+	for _, x := range rhs {
+		k = binary.AppendVarint(k, x)
+	}
+	if kind == 'S' {
+		k = binary.AppendVarint(k, mpc0)
+	}
+	g.key = k
+	if got, ok := g.memo[string(k)]; ok {
 		return got
 	}
 	var out [][]int64
-	gen(func(r []int64) { out = append(out, append([]int64(nil), r...)) })
-	g.memo[key] = out
+	yield := func(r []int64) { out = append(out, append([]int64(nil), r...)) }
+	m := g.m
+	if kind == 'S' {
+		m = g.mDrop
+	}
+	if sol, ok := linalg.Solve(m, linalg.IntVec(rhs...)); ok {
+		if p, ok := linalg.IntegralParticular(sol); ok {
+			if kind == 'S' {
+				g.enumerateSpatial(p, sol.Nullspace, g.m1, mpc0, g.lineElems, yield)
+			} else {
+				g.enumerate(p, sol.Nullspace, yield)
+			}
+		}
+	}
+	g.memo[string(k)] = out
 	return out
 }
 
-func intsKey(prefix string, xs ...int64) string {
-	var b strings.Builder
-	b.WriteString(prefix)
-	for _, x := range xs {
-		fmt.Fprintf(&b, ",%d", x)
+// pair appends to out the candidate vectors from producer set.Refs[pi] to
+// consumer set.Refs[ci]: at most MaxPerPair, each ⪰ 0.
+func (g *generator) pair(out []Vector, pi, ci int) []Vector {
+	rp, rc := g.set.Refs[pi], g.set.Refs[ci]
+	mp, mc := g.offs[pi], g.offs[ci]
+	for k := range g.label {
+		g.label[k] = rc.Stmt.Label[k] - rp.Stmt.Label[k]
 	}
-	return b.String()
-}
-
-// pair generates all candidate vectors from producer rp to consumer rc.
-func (g *generator) pair(rp, rc *ir.NRef) []*Vector {
-	n := g.np.Depth
-	mRows, mp := rp.AccessMatrix(n)
-	_, mc := rc.AccessMatrix(n)
-	rank := len(mRows)
-	M := linalg.IntMat(mRows...)
-
-	labelDiff := make([]int, n)
-	for k := 0; k < n; k++ {
-		labelDiff[k] = rc.Stmt.Label[k] - rp.Stmt.Label[k]
-	}
-
-	var out []*Vector
-	add := func(idx []int64, spatial, cross bool) {
-		if len(out) >= g.opt.MaxPerPair {
-			return
-		}
-		v := &Vector{Producer: rp, Consumer: rc, LabelDiff: labelDiff, IdxDiff: idx, Spatial: spatial, Cross: cross}
-		if v.nonNegative() {
-			out = append(out, v)
+	limit := len(out) + g.opt.MaxPerPair
+	add := func(rs [][]int64, spatial, cross bool) {
+		for _, r := range rs {
+			if len(out) >= limit {
+				return
+			}
+			if nonNegativeDiff(g.label, r, rp.Seq, rc.Seq) {
+				out = append(out, Vector{Producer: rp, Consumer: rc, LabelDiff: g.labelDiff(),
+					IdxDiff: r, Spatial: spatial, Cross: cross})
+			}
 		}
 	}
 
 	// Temporal: M·r = mp − mc   (equation (1)).
-	bT := make([]int64, rank)
-	for d := 0; d < rank; d++ {
+	rank := len(mp)
+	bT := g.rhs
+	for d := range bT {
 		bT[d] = mp[d] - mc[d]
 	}
-	for _, r := range g.memoised(intsKey("T", bT...), func(yield func([]int64)) {
-		if sol, ok := linalg.Solve(M, linalg.IntVec(bT...)); ok {
-			if p, ok := linalg.IntegralParticular(sol); ok {
-				g.enumerate(p, sol.Nullspace, yield)
-			}
-		}
-	}) {
-		add(r, false, false)
-	}
+	add(g.solutions('T', bT, 0), false, false)
 	if g.opt.NoSpatial {
 		return out
 	}
 
-	lineElems := g.cfg.LineElems(rp.Array.ElemSize)
-	if lineElems > 1 && rank >= 1 {
+	if g.lineElems > 1 && rank >= 1 {
 		// Spatial within a column: M'·r = m'p − m'c with the first-subscript
 		// displacement within a line (equation (2)).
-		Mp := M
-		var bS []int64
-		if rank > 1 {
-			Mp = M.DropRow(0)
-			bS = bT[1:]
-		} else {
-			Mp = linalg.NewMat(0, n)
-			bS = nil
-		}
-		for _, r := range g.memoised(intsKey("S", append(append([]int64(nil), bS...), mp[0]-mc[0])...), func(yield func([]int64)) {
-			if sol, ok := linalg.Solve(Mp, linalg.IntVec(bS...)); ok {
-				if p, ok := linalg.IntegralParticular(sol); ok {
-					m1 := M.Row(0)
-					g.enumerateSpatial(p, sol.Nullspace, m1, mp[0]-mc[0], lineElems, yield)
-				}
-			}
-		}) {
-			add(r, true, false)
-		}
+		add(g.solutions('S', bT[1:], mp[0]-mc[0]), true, false)
 		// Spatial across adjacent columns (second kind, Fig. 3): the last
 		// element(s) of column c and the first of column c+1 share a line.
 		// Target subscript displacement (consumer − producer):
 		// Δ = (1 − d1 + e, 1, 0, ..., 0) and its mirror, e ∈ 0..L_s−2.
-		if !g.opt.NoCrossColumn && rank >= 2 && rp.Array.Dims[0] > 0 {
-			d1 := rp.Array.Dims[0]
-			for e := int64(0); e < lineElems-1; e++ {
-				for _, sign := range []int64{1, -1} {
-					b := make([]int64, rank)
+		if !g.opt.NoCrossColumn && rank >= 2 && g.d1 > 0 {
+			b := g.cross
+			for e := int64(0); e < g.lineElems-1; e++ {
+				for _, sign := range [2]int64{1, -1} {
 					copy(b, bT)
-					b[0] += sign * (1 - d1 + e)
+					b[0] += sign * (1 - g.d1 + e)
 					b[1] += sign
-					for _, r := range g.memoised(intsKey("X", b...), func(yield func([]int64)) {
-						if sol, ok := linalg.Solve(M, linalg.IntVec(b...)); ok {
-							if p, ok := linalg.IntegralParticular(sol); ok {
-								g.enumerate(p, sol.Nullspace, yield)
-							}
-						}
-					}) {
-						add(r, true, true)
-					}
+					add(g.solutions('X', b, 0), true, true)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// labelDiff returns the current pair's label difference as a slice a
+// vector may keep: the one last handed out when equal, else a fresh copy.
+func (g *generator) labelDiff() []int {
+	if g.lastLabel == nil || !slices.Equal(g.lastLabel, g.label) {
+		g.lastLabel = slices.Clone(g.label)
+	}
+	return g.lastLabel
+}
+
+// sorted orders one consumer's candidates by byDisplacement and drops
+// every vector equal to its predecessor in producer and displacement,
+// returning the survivors in freshly allocated storage. The sort is
+// stable, so duplicates stay in generation order and the first generated
+// survives; producers have distinct Seq, so the survivors' order is
+// strict.
+func (g *generator) sorted(cand []Vector) []*Vector {
+	order := g.order[:0]
+	for i := range cand {
+		order = append(order, &cand[i])
+	}
+	slices.SortStableFunc(order, byDisplacement)
+	kept := order[:0]
+	for _, v := range order {
+		if n := len(kept); n > 0 && kept[n-1].Producer == v.Producer && Compare(kept[n-1], v) == 0 {
+			continue
+		}
+		kept = append(kept, v)
+	}
+	g.order = order
+	if len(kept) == 0 {
+		return nil
+	}
+	slab := make([]Vector, len(kept))
+	out := make([]*Vector, len(kept))
+	for i, v := range kept {
+		slab[i] = *v
+		out[i] = &slab[i]
+	}
+	return out
+}
+
+// byDisplacement is each consumer's vector order: ascending interleaved
+// displacement, then, at equal displacement, the textually later (more
+// recent) producer first.
+func byDisplacement(a, b *Vector) int {
+	if c := Compare(a, b); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.Producer.Seq, a.Producer.Seq)
 }
 
 // enumerate yields integral points p + Σ t_i·k_i with |t_i| ≤ KernelSpan.
@@ -470,18 +569,4 @@ func (g *generator) enumerateSpatial(p linalg.Vec, kernel []linalg.Vec, m1 linal
 		}
 	}
 	rec(p, 0)
-}
-
-func dedupe(vecs []*Vector) []*Vector {
-	seen := map[string]bool{}
-	out := vecs[:0]
-	for _, v := range vecs {
-		key := fmt.Sprintf("%p|%v", v.Producer, v.Interleaved())
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, v)
-	}
-	return out
 }

@@ -246,3 +246,29 @@ func TestProducerPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestSameNameArraysStayApart: two distinct arrays that share a name (the
+// ir builder accepts both) form separate uniformly generated sets, so no
+// vector links a reference of one to a reference of the other.
+func TestSameNameArraysStayApart(t *testing.T) {
+	b := ir.NewSub("twin")
+	a0 := b.Real8("A", 64)
+	a1 := b.Real8("A", 64)
+	b.Do("I1", ir.Con(1), ir.Con(64)).
+		Assign("S1", ir.R(a0, ir.Var("I1")), ir.R(a1, ir.Var("I1"))).
+		End()
+	np, err := normalize.Normalize(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sets := UniformSets(np); len(sets) != 2 {
+		t.Fatalf("uniform sets = %d, want 2 (one per array)", len(sets))
+	}
+	for rc, vs := range Generate(np, cfg32, Options{}) {
+		for _, v := range vs {
+			if v.Producer.Array != rc.Array {
+				t.Errorf("cross-array vector %v", v)
+			}
+		}
+	}
+}
