@@ -228,6 +228,43 @@ func TestCLILadderNearMaxInt64(t *testing.T) {
 	}
 }
 
+// TestCLIScalingBadSizeList: an explicit -ns list gets the checks a
+// generated ladder gets — positive sizes, at most maxLadder of them — and
+// a bad list is an argument error reported before any probe solve. A list
+// longer than maxLadder cannot fit in one command-line argument, so that
+// case calls the subcommand in process.
+func TestCLIScalingBadSizeList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a CLI process")
+	}
+	for _, tc := range []struct{ ns, want string }{
+		{"0", "ladder size 0 must be positive"},
+		{"-3", "ladder size -3 must be positive"},
+	} {
+		cmd := cliCommand(t, "scaling", "-program", "tomcatv", "-ns", tc.ns)
+		var out strings.Builder
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Start(); err != nil {
+			t.Fatalf("-ns %s: start: %v", tc.ns, err)
+		}
+		timer := time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() })
+		err := cmd.Wait()
+		timer.Stop()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Fatalf("-ns %s: want exit status 1, got %v\n%s", tc.ns, err, out.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("-ns %s: no ladder error %q:\n%s", tc.ns, tc.want, out.String())
+		}
+	}
+	long := strings.TrimSuffix(strings.Repeat("64,", maxLadder+1), ",")
+	err := cmdScaling([]string{"-program", "tomcatv", "-ns", long})
+	if err == nil || !strings.Contains(err.Error(), "ladder of 65537 sizes exceeds the limit 65536") {
+		t.Fatalf("-ns with %d sizes: err = %v, want the ladder limit error", maxLadder+1, err)
+	}
+}
+
 // TestCLIBenchScalingCheck runs `bench -scaling -check`: the match check
 // inside the process gates on bit-identity between the closed form and
 // the enumerating solver, so a clean exit plus a sane JSON is the test.

@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -26,23 +25,23 @@ func ladderFlags(fs *flag.FlagSet) func() ([]int64, error) {
 	step := fs.Int64("step", 64, "ladder stride")
 	ns := fs.String("ns", "", "explicit comma-separated size list (overrides -from/-to/-step)")
 	return func() ([]int64, error) {
-		if *ns != "" {
-			var out []int64
-			for _, s := range strings.Split(*ns, ",") {
-				v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad -ns entry %q: %v", s, err)
-				}
-				out = append(out, v)
-			}
-			return out, nil
+		if *ns == "" {
+			return spec.Ladder(*from, *to, *step, maxLadder)
 		}
-		return spec.Ladder(*from, *to, *step, maxLadder)
+		out, err := parseInt64List(*ns)
+		if err != nil {
+			return nil, fmt.Errorf("bad -ns list: %v", err)
+		}
+		if err := spec.CheckLadder(out, maxLadder); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 }
 
-// maxLadder caps a generated size ladder (and a sweep's cache-size
-// ladder): past it the range is an argument error, not an allocation.
+// maxLadder caps a size ladder, generated or listed with -ns (and a
+// sweep's cache-size ladder): past it the range is an argument error, not
+// an allocation.
 const maxLadder = 65536
 
 // family resolves the program flags to the scaling tier's program

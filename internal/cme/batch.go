@@ -83,8 +83,6 @@ type BatchOptions struct {
 	// equivalence tests. The tier is also off automatically for sampled
 	// plans, fault-hooked budgets, NoSymbolic analyses and dynamic reuse.
 	NoGeom bool
-	// Geom tunes the geometry-parametric tier; nil uses the defaults.
-	Geom *GeomOptions
 }
 
 // SolveBatch evaluates every candidate against the Prepared program and
@@ -337,13 +335,9 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 		// closed-form fill costs the meter nothing), but injected faults
 		// must see the enumerating solver to keep fault-parity tests
 		// meaningful.
-		var gp *geomPlan
+		var gp []*geomColumn
 		if !opt.NoGeom && opt.Budget.Hook == nil && !p.opt.NoSymbolic && p.dyn == nil {
-			gopt := GeomOptions{}
-			if opt.Geom != nil {
-				gopt = *opt.Geom
-			}
-			gp = p.planGeom(states, gopt)
+			gp = p.planGeom(states)
 		}
 		serr = p.solveExactFused(ctx, m, col, states, run)
 		if gp != nil {
@@ -368,7 +362,7 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 	if mode.sampled {
 		fallback = mode.plan
 	}
-	derr := p.degradeBatch(ctx, m, states, fallback)
+	derr := p.degradeBatch(ctx, m, states, fallback, true)
 	if derr == nil && serr != nil {
 		// Cancellation observed by the solver pool on an unlimited meter.
 		derr = serr
@@ -389,9 +383,11 @@ func (p *Prepared) solveLayoutGroup(ctx context.Context, m *budget.Meter, col *o
 // incomplete exact-tier refs are resampled under the fallback plan (the
 // paper's widened interval when coming from the exact solver), and
 // whatever still cannot finish drops to the closed-form probabilistic
-// baseline. Cancellation and NoFallback budgets abort instead of
-// degrading. Every candidate's report leaves with its provenance stamped.
-func (p *Prepared) degradeBatch(ctx context.Context, m *budget.Meter, states []*batchCand, fallback sampling.Plan) error {
+// baseline. Without grace (the meter's grace is already spent) the
+// resampling rung is skipped. Cancellation and NoFallback budgets abort
+// instead of degrading. Every candidate's report leaves with its
+// provenance stamped.
+func (p *Prepared) degradeBatch(ctx context.Context, m *budget.Meter, states []*batchCand, fallback sampling.Plan, grace bool) error {
 	err := m.Err()
 	stamp := func() {
 		for _, cs := range states {
@@ -430,7 +426,7 @@ func (p *Prepared) degradeBatch(ctx context.Context, m *budget.Meter, states []*
 			}
 		}
 	}
-	if firstIncompleteTier == TierExact {
+	if firstIncompleteTier == TierExact && grace {
 		m.Grace()
 		for _, cs := range states {
 			if !incomplete(cs) {

@@ -491,14 +491,17 @@ func (a *Analyzer) FindMisses() *Report {
 // sets NoFallback, in which case the partial report is returned with
 // ErrBudgetExceeded.
 func (a *Analyzer) FindMissesCtx(ctx context.Context, b budget.Budget) (*Report, error) {
-	return a.solve(ctx, b, nil)
+	return a.solve(ctx, budget.NewMeter(ctx, b), nil, true)
 }
 
 // solve runs one single-geometry analysis — exact when plan is nil,
-// sampled otherwise — on the batch engine as a one-candidate group. It
-// enters below SolveBatch's layout loop: the array bases in effect stay
-// put and the batch counters do not move.
-func (a *Analyzer) solve(ctx context.Context, b budget.Budget, plan *sampling.Plan) (*Report, error) {
+// sampled otherwise — on the batch engine as a one-candidate group,
+// metered by m. It enters below SolveBatch's layout loop: the array bases
+// in effect stay put and the batch counters do not move. With degrade set,
+// references m cuts short walk the degradation ladder, whose sampled rung
+// re-arms m only if m has had no grace yet; without it they are left
+// incomplete. A meter exhausted before the call skips the solver pass.
+func (a *Analyzer) solve(ctx context.Context, m *budget.Meter, plan *sampling.Plan, degrade bool) (*Report, error) {
 	start := time.Now()
 	col := obs.FromContext(ctx)
 	run := solveRun{workers: a.p.opt.Workers, solo: true}
@@ -515,23 +518,30 @@ func (a *Analyzer) solve(ctx context.Context, b budget.Budget, plan *sampling.Pl
 		span.SetAttr("workers", run.workers)
 	}
 	span.SetAttr("refs", len(a.p.np.Refs))
-	m := budget.NewMeter(ctx, b)
 	a.p.warmAddresses()
 	cs := a.p.newBatchCand(-1, a.cfg.String(), a, plan != nil)
 	states := []*batchCand{cs}
 	var serr error
 	fallback := sampling.DefaultFallback
-	if plan == nil {
+	switch {
+	case m.Err() != nil:
+	case plan == nil:
 		serr = a.p.solveExactFused(ctx, m, col, states, run)
-	} else {
+	default:
 		serr = a.p.solveSampled(ctx, m, col, states, *plan, run)
+	}
+	if plan != nil {
 		// The exact rung is already behind us: degradation goes straight
 		// to the probabilistic tier.
 		fallback = *plan
 	}
-	err := a.p.degradeBatch(ctx, m, states, fallback)
-	if err == nil {
-		err = serr
+	err := serr
+	if degrade {
+		if derr := a.p.degradeBatch(ctx, m, states, fallback, m.Spent().Graces == 0); derr != nil {
+			err = derr
+		}
+	} else {
+		cs.rep.finalize(m)
 	}
 	cs.rep.Elapsed = time.Since(start)
 	return cs.rep, err
@@ -581,7 +591,7 @@ func (a *Analyzer) EstimateMissesCtx(ctx context.Context, b budget.Budget, plan 
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return a.solve(ctx, b, &plan)
+	return a.solve(ctx, budget.NewMeter(ctx, b), &plan, true)
 }
 
 // plannedFor returns how many points the sampling pass will classify for

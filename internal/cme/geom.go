@@ -7,9 +7,7 @@ import (
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/ir"
-	"cachemodel/internal/linalg"
 	"cachemodel/internal/obs"
-	"cachemodel/internal/qpoly"
 )
 
 // Geometry-parametric sweeps: closed-form miss counts in the number of
@@ -38,14 +36,15 @@ import (
 //     fit below runs only inside this certified region, so its claims are
 //     sound rather than merely spot-checked.
 //
-//   - Per-residue fit rung: within the stable region the anchor counts of
-//     each residue class S mod Period are fitted to a degree-Degree
-//     polynomial (qpoly.FitPoly over exact rationals), the remaining
-//     anchors are held out and must reproduce exactly, and every
-//     evaluation must pass the count identities (integral, non-negative,
-//     hits+cold+repl == volume). Any failure refuses the (member, ref)
-//     pair, which falls through to the fused enumerating solver — a
-//     refusal costs extra work, never a wrong count.
+//   - Fit rung: the geomAnchors stable members with the fewest sets are
+//     solved exactly, and each reference's counters are fitted over them
+//     by the shared counter fit (fit.go) at degree 0 — inside the stable
+//     region the counts are constant — with the anchors beyond the first
+//     held out and reproduced exactly. Every evaluation must pass the count
+//     identities (integral, non-negative, hits+cold+repl == analyzed ==
+//     volume). Any failure refuses the (member, ref) pair, which falls
+//     through to the fused enumerating solver — a refusal costs extra
+//     work, never a wrong count.
 //
 // Members at or below the span (where counts genuinely vary with S in a
 // way no low-degree polynomial captures) are never claimed: they solve
@@ -57,49 +56,17 @@ import (
 // but fault-hooked budgets and NoSymbolic disable it (both force
 // enumeration for fault-parity and equivalence testing).
 
-// GeomOptions tunes the geometry-parametric tier of SolveBatch. The zero
-// value picks everything automatically.
-type GeomOptions struct {
-	// Period is the residue period in NumSets (default 1: inside the
-	// stable region counts are constant, so one class suffices).
-	Period int64
-	// Degree is the fitted polynomial degree per residue class (default 0).
-	Degree int
-	// Verify is the number of holdout anchor solves per residue class that
-	// the fit must reproduce exactly (default 2).
-	Verify int
-	// MinColumn is the smallest column (same line size and associativity,
-	// distinct set counts) worth planning (default DefaultGeomMinColumn:
-	// below that the anchors cover everything and closed-form evaluation
-	// gains nothing).
-	MinColumn int
-}
-
-// DefaultGeomMinColumn is the default GeomOptions.MinColumn: the smallest
-// sweep column the geometry-parametric tier will claim. Work partitioners
-// (internal/dist) use it to decide when keeping a column together in one
-// solve is worth the coarser stealing granularity.
+// DefaultGeomMinColumn is the smallest sweep column (same line size and
+// associativity, distinct set counts) the geometry-parametric tier will
+// claim: below it the anchors cover everything and closed-form evaluation
+// gains nothing. Work partitioners (internal/dist) use it to decide when
+// keeping a column together in one solve is worth the coarser stealing
+// granularity.
 const DefaultGeomMinColumn = 4
 
-func (o GeomOptions) withDefaults() GeomOptions {
-	if o.Period <= 0 {
-		o.Period = 1
-	}
-	if o.Degree < 0 {
-		o.Degree = 0
-	}
-	if o.Verify <= 0 {
-		o.Verify = 2
-	}
-	if o.MinColumn <= 0 {
-		o.MinColumn = DefaultGeomMinColumn
-	}
-	return o
-}
-
-// anchorsPerClass is how many stable members of one residue class the
-// fused path must solve before the rest of the class can be claimed.
-func (o GeomOptions) anchorsPerClass() int { return o.Degree + 1 + o.Verify }
+// geomAnchors is how many stable members of a column the fused path must
+// solve before the rest can be claimed: a degree-0 fit plus its holdouts.
+const geomAnchors = 1 + fitVerify
 
 // GeomInfo is the geometry-parametric tier's provenance for one sweep
 // candidate, mirroring ScalingInfo for the problem-size axis.
@@ -121,9 +88,6 @@ type GeomInfo struct {
 	PureColdRefs    int `json:"pure_cold_refs,omitempty"`
 	FallthroughRefs int `json:"fallthrough_refs,omitempty"`
 	TotalRefs       int `json:"total_refs"`
-	// Period and Degree describe the fitted shape.
-	Period int64 `json:"period"`
-	Degree int   `json:"degree"`
 	// Why says why the fit rung did not cover this member (anchors and
 	// unstable members; empty for members answered in closed form).
 	Why string `json:"why,omitempty"`
@@ -158,12 +122,6 @@ type geomColumn struct {
 	fit      []bool
 }
 
-// geomPlan is the per-layout-group plan of the geometry-parametric tier.
-type geomPlan struct {
-	opt     GeomOptions
-	columns []*geomColumn
-}
-
 // numSetsOf is the candidate's cache.Config.NumSets.
 func numSetsOf(cs *batchCand) int64 {
 	cfg := cs.a.cfg
@@ -175,8 +133,7 @@ func numSetsOf(cs *batchCand) int64 {
 // form, and which references each rung covers. It clears the deferred
 // (member, ref) pairs from the need masks so the fused pass skips them.
 // nil means the tier has nothing to contribute to this group.
-func (p *Prepared) planGeom(states []*batchCand, gopt GeomOptions) *geomPlan {
-	gopt = gopt.withDefaults()
+func (p *Prepared) planGeom(states []*batchCand) []*geomColumn {
 	type colKey struct {
 		lineBytes int64
 		assoc     int
@@ -190,28 +147,25 @@ func (p *Prepared) planGeom(states []*batchCand, gopt GeomOptions) *geomPlan {
 		}
 		cols[k] = append(cols[k], cs)
 	}
-	plan := &geomPlan{opt: gopt}
+	var plan []*geomColumn
 	for _, k := range order {
 		members := cols[k]
-		if len(members) < gopt.MinColumn {
+		if len(members) < DefaultGeomMinColumn {
 			continue
 		}
 		sorted := append([]*batchCand(nil), members...)
 		sort.Slice(sorted, func(i, j int) bool { return numSetsOf(sorted[i]) < numSetsOf(sorted[j]) })
-		if col := p.planColumn(k.lineBytes, k.assoc, sorted, gopt); col != nil {
-			plan.columns = append(plan.columns, col)
+		if col := p.planColumn(k.lineBytes, k.assoc, sorted); col != nil {
+			plan = append(plan, col)
 		}
-	}
-	if len(plan.columns) == 0 {
-		return nil
 	}
 	return plan
 }
 
 // planColumn builds one column's plan (nil when nothing can be claimed).
 // members arrive sorted by ascending set count, so anchors are the
-// cheapest stable solves of each residue class.
-func (p *Prepared) planColumn(lineBytes int64, assoc int, members []*batchCand, gopt GeomOptions) *geomColumn {
+// cheapest stable solves.
+func (p *Prepared) planColumn(lineBytes int64, assoc int, members []*batchCand) *geomColumn {
 	col := &geomColumn{lineBytes: lineBytes, assoc: assoc,
 		span:     p.footprintSpanLines(lineBytes),
 		cleared:  map[*batchCand][]bool{},
@@ -227,17 +181,13 @@ func (p *Prepared) planColumn(lineBytes int64, assoc int, members []*batchCand, 
 		}
 	}
 
-	// Partition members: per residue class, the first anchorsPerClass
-	// stable members anchor and the rest defer to closed form.
-	need := gopt.anchorsPerClass()
-	classCount := map[int64]int{}
+	// Partition members: the first geomAnchors stable members anchor and
+	// the rest defer to closed form.
 	for _, cs := range members {
-		s := numSetsOf(cs)
 		switch {
-		case col.span < 0 || s <= col.span:
+		case col.span < 0 || numSetsOf(cs) <= col.span:
 			col.other = append(col.other, cs)
-		case classCount[mod64(s, gopt.Period)] < need:
-			classCount[mod64(s, gopt.Period)]++
+		case len(col.anchors) < geomAnchors:
 			col.anchors = append(col.anchors, cs)
 		default:
 			col.deferred = append(col.deferred, cs)
@@ -337,12 +287,6 @@ func affineRange(aff ir.Affine, lo, hi []int64) (int64, int64) {
 	return a, b
 }
 
-// geomSample is one reference's anchor counts at one set count.
-type geomSample struct {
-	s                int64
-	hits, cold, repl int64
-}
-
 // finishGeom completes the tier after the fused pass: it fills the
 // pure-cold and fitted rungs' reports, restores and re-solves every
 // refusal through the ordinary fused path, and stamps per-candidate
@@ -354,14 +298,14 @@ type geomSample struct {
 // short fails the fit's census check, so its column's deferred refs
 // fall through per reference and rejoin the ordinary degradation
 // ladder.
-func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, run solveRun, gp *geomPlan, serr error) error {
+func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Collector, run solveRun, plan []*geomColumn, serr error) error {
 	if serr != nil {
 		return serr
 	}
 	var resolve []*batchCand
 	resolveSeen := map[*batchCand]bool{}
-	for _, gc := range gp.columns {
-		refused := p.fillColumn(gc, gp.opt)
+	for _, gc := range plan {
+		refused := p.fillColumn(gc)
 		for cs, refs := range refused {
 			for ri, bad := range refs {
 				if !bad {
@@ -386,15 +330,14 @@ func (p *Prepared) finishGeom(ctx context.Context, m *budget.Meter, col *obs.Col
 
 // fillColumn evaluates one column's rungs and returns the refused
 // (member → per-ref) masks (empty when everything claimed held).
-func (p *Prepared) fillColumn(col *geomColumn, gopt GeomOptions) map[*batchCand][]bool {
+func (p *Prepared) fillColumn(col *geomColumn) map[*batchCand][]bool {
 	stats := map[*batchCand]*GeomInfo{}
 	info := func(cs *batchCand) *GeomInfo {
 		gi := stats[cs]
 		if gi == nil {
 			s := numSetsOf(cs)
 			gi = &GeomInfo{NumSets: s, SpanLines: col.span,
-				Stable: col.span >= 0 && s > col.span,
-				Period: gopt.Period, Degree: gopt.Degree,
+				Stable:    col.span >= 0 && s > col.span,
 				TotalRefs: len(p.np.Refs)}
 			stats[cs] = gi
 			cs.rep.Geom = gi
@@ -440,13 +383,7 @@ func (p *Prepared) fillColumn(col *geomColumn, gopt GeomOptions) map[*batchCand]
 			if !col.pureCold[ri] || !cl[ri] {
 				continue
 			}
-			rr := cs.rep.Refs[ri]
-			rr.Analyzed = rr.Volume
-			rr.Hits, rr.Repl = 0, 0
-			rr.Cold = rr.Volume
-			rr.Tier = TierExact
-			rr.Complete = true
-			rr.ClosedForm = true
+			fillPureCold(cs.rep.Refs[ri])
 			gi := info(cs)
 			gi.ClosedRefs++
 			gi.PureColdRefs++
@@ -464,129 +401,43 @@ func (p *Prepared) fillColumn(col *geomColumn, gopt GeomOptions) map[*batchCand]
 		fillPureCold(cs)
 	}
 
-	// Fit rung, per reference over the anchor samples of each class.
+	// Fit rung, per reference over the anchors.
 	for ri := range p.np.Refs {
 		if col.fit[ri] {
-			p.fitAndFill(col, gopt, ri, refuse, info)
+			p.fitAndFill(col, ri, refuse, info)
 		}
 	}
 	return refused
 }
 
-// fitAndFill runs the fit rung for one reference: per residue class of
-// the deferred set counts, fit the anchors, hold out the rest, and
-// evaluate. Refusals route through refuse (fall-through, never a wrong
-// count).
-func (p *Prepared) fitAndFill(col *geomColumn, gopt GeomOptions, ri int, refuse func(*batchCand, int), info func(*batchCand) *GeomInfo) {
-	// Collect anchor samples per residue class. An anchor whose report is
-	// not an exact complete census cannot feed a fit.
-	classes := map[int64][]geomSample{}
-	bad := map[int64]bool{}
-	for _, cs := range col.anchors {
-		rr := cs.rep.Refs[ri]
-		r := mod64(numSetsOf(cs), gopt.Period)
-		if !rr.Complete || rr.Tier != TierExact || rr.Sampled || rr.Analyzed != rr.Volume {
-			bad[r] = true
-			continue
-		}
-		classes[r] = append(classes[r], geomSample{s: numSetsOf(cs),
-			hits: rr.Hits, cold: rr.Cold, repl: rr.Repl})
-	}
-	fits := map[int64]*geomRefFit{}
+// fitAndFill runs the fit rung for one reference: fit its counters over
+// the anchors and evaluate them at every deferred member. Refusals route
+// through refuse (fall-through, never a wrong count).
+func (p *Prepared) fitAndFill(col *geomColumn, ri int, refuse func(*batchCand, int), info func(*batchCand) *GeomInfo) {
+	var fit *refFit
+	fitted := false
 	for _, cs := range col.deferred {
 		cl := col.cleared[cs]
 		if cl == nil || !cl[ri] {
 			continue
 		}
-		r := mod64(numSetsOf(cs), gopt.Period)
-		fit, ok := fits[r]
-		if !ok {
-			if bad[r] {
-				fit = &geomRefFit{}
-			} else {
-				fit = fitClass(gopt, classes[r])
+		if !fitted {
+			fitted = true
+			xs := make([]int64, len(col.anchors))
+			reps := make([]*RefReport, len(col.anchors))
+			for i, a := range col.anchors {
+				xs[i], reps[i] = numSetsOf(a), a.rep.Refs[ri]
 			}
-			fits[r] = fit
-			if fit.ok {
+			if f, err := fitRef(0, xs, reps); err == nil {
+				fit = f
 				mGeomFits.Inc()
 			}
 		}
-		if !fit.ok {
+		if fit == nil || !fit.fill(cs.rep.Refs[ri], numSetsOf(cs)) {
 			refuse(cs, ri)
 			continue
 		}
-		rr := cs.rep.Refs[ri]
-		hits, cold, repl, ok := fit.eval(numSetsOf(cs), rr.Volume)
-		if !ok {
-			refuse(cs, ri)
-			continue
-		}
-		rr.Analyzed = rr.Volume
-		rr.Hits, rr.Cold, rr.Repl = hits, cold, repl
-		rr.Tier = TierExact
-		rr.Complete = true
-		rr.ClosedForm = true
 		info(cs).ClosedRefs++
 		mGeomEvals.Inc()
 	}
-}
-
-// geomRefFit is one (column, reference, residue class) fitted counter
-// set: plain polynomials in the set count (the residue class is fixed).
-type geomRefFit struct {
-	ok               bool
-	hits, cold, repl qpoly.QPoly
-}
-
-// fitClass fits one residue class's anchor samples through the one fit
-// engine: qpoly.FitPoly interpolates the first Degree+1 samples by set
-// count and verifies every further one exactly, so Verify of them must
-// exist. Inside the certified stable region the counts are constant, so
-// the default degree-0 fit always holds; the verification is defense in
-// depth for non-default shapes. Equal set counts (a size listed twice in
-// one column) collapse to one sample when their counts agree — FitPoly
-// rejects duplicate abscissae — and refuse the class when they differ.
-func fitClass(gopt GeomOptions, samples []geomSample) *geomRefFit {
-	if len(samples) < gopt.Degree+1+gopt.Verify {
-		return &geomRefFit{}
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].s < samples[j].s })
-	uniq := make([]geomSample, 0, len(samples))
-	for i, s := range samples {
-		if i > 0 && s.s == samples[i-1].s {
-			if s != samples[i-1] {
-				return &geomRefFit{}
-			}
-			continue
-		}
-		uniq = append(uniq, s)
-	}
-	fit := func(sel func(geomSample) int64) (qpoly.QPoly, bool) {
-		in := make([]qpoly.Sample, len(uniq))
-		for i, s := range uniq {
-			in[i] = qpoly.Sample{N: s.s, V: linalg.RatInt(sel(s))}
-		}
-		q, err := fitCounter(gopt.Degree, in)
-		return q, err == nil
-	}
-	f := &geomRefFit{}
-	var ok1, ok2, ok3 bool
-	f.hits, ok1 = fit(func(s geomSample) int64 { return s.hits })
-	f.cold, ok2 = fit(func(s geomSample) int64 { return s.cold })
-	f.repl, ok3 = fit(func(s geomSample) int64 { return s.repl })
-	f.ok = ok1 && ok2 && ok3
-	return f
-}
-
-// eval evaluates the fitted counters at one set count and checks the
-// count identities: integral, non-negative, summing to the volume.
-func (f *geomRefFit) eval(s, volume int64) (hits, cold, repl int64, ok bool) {
-	var k1, k2, k3 bool
-	hits, k1 = f.hits.EvalInt(s)
-	cold, k2 = f.cold.EvalInt(s)
-	repl, k3 = f.repl.EvalInt(s)
-	if !k1 || !k2 || !k3 || hits < 0 || cold < 0 || repl < 0 || hits+cold+repl != volume {
-		return 0, 0, 0, false
-	}
-	return hits, cold, repl, true
 }

@@ -2,6 +2,7 @@ package cme
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"cachemodel/internal/budget"
 	"cachemodel/internal/cache"
+	"cachemodel/internal/cerr"
 	"cachemodel/internal/ir"
 	"cachemodel/internal/linalg"
 	"cachemodel/internal/poly"
@@ -55,38 +57,35 @@ import (
 // Anything that fails a rung falls through: ineligible families or
 // unfitted sizes are answered by the ordinary per-size solver, and the
 // Report's Scaling provenance says which path produced the numbers.
+//
+// The fit shape is fixed: the residue period is the set-wrap period, the
+// degree the number of n-dependent loop dimensions, every class fit holds
+// out fitVerify further solves (fit.go), and a class whose holdouts
+// disagree doubles its fit window at most twice before it is refused.
 
 // BuildFunc instantiates the program family at one problem size: a fully
 // normalised and laid-out program (the same front half the per-size
 // solvers consume).
 type BuildFunc func(n int64) (*ir.NProgram, error)
 
-// ScalingOptions tunes the scaling solver. The zero value picks
-// everything automatically.
+// ScalingOptions tunes the scaling solver.
 type ScalingOptions struct {
-	// MinN is the smallest size the solver must answer (default 4).
-	// Sizes below it are rejected.
-	MinN int64
-	// ProbeN is the base of the three structural probe sizes
-	// ProbeN, ProbeN+1, ProbeN+2 (default 8).
-	ProbeN int64
-	// Period overrides the residue period (default: the set-wrap period
-	// numSets·lineBytes / gcd(element sizes)).
-	Period int64
-	// Degree overrides the fitted polynomial degree (default: the maximum
-	// number of n-dependent dimensions of any statement).
-	Degree int
-	// Verify is the number of holdout solves per residue class that the
-	// fit must reproduce exactly (default 2).
-	Verify int
-	// FitN is the smallest sample size used for fitting solves (default:
-	// past the capacity chamber, see autoFitN). A failed verification
-	// escalates it before giving up on the residue class.
-	FitN int64
-	// Budget meters the internal exact solves (fit samples and
-	// fall-through sizes). Zero = unlimited.
+	// Budget caps each SolveLadder, EvalCtx or EvalClosedCtx call as a
+	// whole: its fit samples and fall-through sizes share one allowance.
+	// Zero = unlimited.
 	Budget budget.Budget
 }
+
+const (
+	// scalingMinN is the smallest size the closed form answers.
+	scalingMinN = 4
+	// scalingProbeN is the base of the three structural probe sizes
+	// scalingProbeN, scalingProbeN+1, scalingProbeN+2.
+	scalingProbeN = 8
+	// fitAttempts bounds how many fit windows a residue class tries, each
+	// twice as far out as the last.
+	fitAttempts = 3
+)
 
 // ScalingInfo is the Report provenance of the scaling tier.
 type ScalingInfo struct {
@@ -126,15 +125,8 @@ type ScalingStats struct {
 // refScale is the per-reference symbolic state.
 type refScale struct {
 	ref      *ir.NRef // the template instantiation's reference (ID donor)
-	space    *poly.ParamSpace
 	volume   qpoly.Piecewise
 	pureCold bool
-}
-
-// refFit is one reference's fitted counters within one residue class, as
-// power-basis polynomials of n (period-1 quasi-polynomials).
-type refFit struct {
-	analyzed, hits, cold, repl qpoly.QPoly
 }
 
 // residueFit is the closed form of one residue class n ≡ r (mod period).
@@ -148,10 +140,10 @@ type residueFit struct {
 // ScalingSolver is the closed-form scaling tier for one program family ×
 // cache configuration. It is safe for concurrent use.
 type ScalingSolver struct {
-	build BuildFunc
-	cfg   cache.Config
-	opt   Options
-	sopt  ScalingOptions
+	build  BuildFunc
+	cfg    cache.Config
+	opt    Options
+	budget budget.Budget
 
 	eligible bool
 	why      string // why the family is ineligible (when !eligible)
@@ -159,24 +151,10 @@ type ScalingSolver struct {
 	degree   int
 	tmpl     *ir.NProgram
 	refs     []*refScale // in template program order
-	byID     map[string]*refScale
 
 	mu    sync.Mutex
 	fits  map[int64]*residueFit
 	stats ScalingStats
-}
-
-func (o ScalingOptions) withDefaults() ScalingOptions {
-	if o.MinN == 0 {
-		o.MinN = 4
-	}
-	if o.ProbeN == 0 {
-		o.ProbeN = 8
-	}
-	if o.Verify == 0 {
-		o.Verify = 2
-	}
-	return o
 }
 
 // PrepareScaling probes the program family and builds the scaling solver.
@@ -188,11 +166,8 @@ func PrepareScaling(build BuildFunc, cfg cache.Config, opt Options, sopt Scaling
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sopt = sopt.withDefaults()
-	s := &ScalingSolver{build: build, cfg: cfg, opt: opt, sopt: sopt,
-		fits: map[int64]*residueFit{},
-		byID: map[string]*refScale{},
-	}
+	s := &ScalingSolver{build: build, cfg: cfg, opt: opt, budget: sopt.Budget,
+		fits: map[int64]*residueFit{}}
 	if err := s.probe(); err != nil {
 		return nil, err
 	}
@@ -227,7 +202,7 @@ func (s *ScalingSolver) ineligible(format string, args ...any) {
 // probe instantiates the family at three consecutive sizes and lifts the
 // structure to parameter space (rungs 1 and 2 of the eligibility ladder).
 func (s *ScalingSolver) probe() error {
-	n0 := s.sopt.ProbeN
+	n0 := int64(scalingProbeN)
 	var nps [3]*ir.NProgram
 	var preps [3]*Prepared
 	for i := range nps {
@@ -246,21 +221,12 @@ func (s *ScalingSolver) probe() error {
 	// Residue period: the set-wrap period of the cache geometry over the
 	// finest element granularity. Every affine address term a·n^k + ...
 	// repeats mod numSets·lineBytes when n advances by it.
-	s.period = s.sopt.Period
-	if s.period == 0 {
-		setspan := s.cfg.NumSets() * s.cfg.LineBytes
-		g := setspan
-		for _, arr := range s.tmpl.Arrays {
-			g = linalg.GCD(g, arr.ElemSize)
-		}
-		if g == 0 {
-			g = 1
-		}
-		s.period = setspan / g
+	setspan := s.cfg.NumSets() * s.cfg.LineBytes
+	g := setspan
+	for _, arr := range s.tmpl.Arrays {
+		g = linalg.GCD(g, arr.ElemSize)
 	}
-	if s.period < 1 {
-		s.period = 1
-	}
+	s.period = setspan / g // a valid geometry has setspan ≥ 1, so g ≥ 1
 
 	// Rung 1: structural match + affine lift of every statement space.
 	if len(nps[1].Stmts) != len(nps[0].Stmts) || len(nps[2].Stmts) != len(nps[0].Stmts) ||
@@ -288,10 +254,7 @@ func (s *ScalingSolver) probe() error {
 			maxNDims = nd
 		}
 	}
-	s.degree = s.sopt.Degree
-	if s.degree == 0 {
-		s.degree = maxNDims
-	}
+	s.degree = maxNDims
 	if s.degree == 0 {
 		s.degree = 1 // constant-size family: still fit a sanity slope
 	}
@@ -302,7 +265,6 @@ func (s *ScalingSolver) probe() error {
 	for i, p := range preps {
 		sym[i] = p.lineState(s.cfg.LineBytes).symInfo()
 	}
-	fitOpt := poly.FitOptions{MinN: s.sopt.MinN}
 	for i, r := range nps[0].Refs {
 		r1, r2 := nps[1].Refs[i], nps[2].Refs[i]
 		if r.ID != r1.ID || r.ID != r2.ID {
@@ -310,16 +272,15 @@ func (s *ScalingSolver) probe() error {
 			return nil
 		}
 		ps := spaces[r.Stmt]
-		vol, err := ps.CountPoly(poly.FullTile(), fitOpt)
+		vol, err := ps.CountPoly(poly.FullTile(), scalingMinN)
 		if err != nil {
 			s.ineligible("reference %s: volume is not quasi-polynomial: %v", r.ID, err)
 			return nil
 		}
-		rs := &refScale{ref: r, space: ps, volume: vol}
-		rs.pureCold = s.liftPureCold(ps, fitOpt,
-			[3]*ir.NRef{r, r1, r2}, [3]*ir.NProgram{nps[0], nps[1], nps[2]}, sym, preps)
+		rs := &refScale{ref: r, volume: vol}
+		rs.pureCold = s.liftPureCold(ps,
+			[3]*ir.NRef{r, r1, r2}, nps, sym, preps)
 		s.refs = append(s.refs, rs)
-		s.byID[r.ID] = rs
 	}
 	s.eligible = true
 	return nil
@@ -382,7 +343,7 @@ func liftAffine(a0, a1, a2 ir.Affine, n0 int64) (poly.ParamAffine, bool) {
 // system must lift to parameter space and count zero for every n. A
 // false return is not an error — the reference just takes the fitted
 // path.
-func (s *ScalingSolver) liftPureCold(ps *poly.ParamSpace, fitOpt poly.FitOptions,
+func (s *ScalingSolver) liftPureCold(ps *poly.ParamSpace,
 	rs [3]*ir.NRef, nps [3]*ir.NProgram, sym []map[*ir.NRef]*refSym, preps [3]*Prepared) bool {
 
 	for i := range rs {
@@ -417,13 +378,13 @@ func (s *ScalingSolver) liftPureCold(ps *poly.ParamSpace, fitOpt poly.FitOptions
 			if c0.IsEq != c1.IsEq || c0.IsEq != c2.IsEq {
 				return false
 			}
-			e, ok := liftAffine(c0.Expr, c1.Expr, c2.Expr, s.sopt.ProbeN)
+			e, ok := liftAffine(c0.Expr, c1.Expr, c2.Expr, scalingProbeN)
 			if !ok {
 				return false
 			}
 			sys[c] = poly.ParamConstraint{Expr: e, IsEq: c0.IsEq}
 		}
-		cnt, err := ps.CountWithPoly(poly.FullTile(), sys, fitOpt)
+		cnt, err := ps.CountWithPoly(poly.FullTile(), sys, scalingMinN)
 		if err != nil || !cnt.IsZero() {
 			return false
 		}
@@ -436,15 +397,12 @@ func (s *ScalingSolver) liftPureCold(ps *poly.ParamSpace, fitOpt poly.FitOptions
 // capacity-transition chambers are behind us. One period of slack keeps
 // the first sample clear of the seam.
 func (s *ScalingSolver) autoFitN() int64 {
-	if s.sopt.FitN != 0 {
-		return s.sopt.FitN
-	}
 	fitN := s.period
 	if lines := s.cfg.SizeBytes / s.cfg.LineBytes; lines > fitN {
 		fitN = lines
 	}
-	if fitN < 2*s.sopt.MinN {
-		fitN = 2 * s.sopt.MinN
+	if fitN < 2*scalingMinN {
+		fitN = 2 * scalingMinN
 	}
 	return fitN
 }
@@ -455,7 +413,7 @@ func (s *ScalingSolver) autoFitN() int64 {
 // nothing). Callers with a known size range can use it to skip the
 // closed tier up front.
 func (s *ScalingSolver) MinClosedN() int64 {
-	n := s.sopt.MinN
+	n := int64(scalingMinN)
 	if s.needsFit() {
 		if f := s.autoFitN(); f > n {
 			n = f
@@ -464,8 +422,16 @@ func (s *ScalingSolver) MinClosedN() int64 {
 	return n
 }
 
-// solveExactAt runs the ordinary exact tier at one size.
-func (s *ScalingSolver) solveExactAt(ctx context.Context, n int64) (*Report, error) {
+// Each SolveLadder, EvalCtx or EvalClosedCtx call arms one meter m for
+// the solver's budget: the call's allowance, which every fit sample and
+// fall-through size it solves meters against.
+
+// solveAt runs the exact tier at size n on the call's allowance m. A fit
+// sample (degrade false) leaves what the allowance cut short incomplete,
+// so the fit refuses it; a fall-through size (degrade true) walks the
+// degradation ladder like a SolveBatch candidate, its sampled rung granted
+// one grace per call.
+func (s *ScalingSolver) solveAt(ctx context.Context, m *budget.Meter, n int64, degrade bool) (*Report, error) {
 	np, err := s.build(n)
 	if err != nil {
 		return nil, err
@@ -474,34 +440,40 @@ func (s *ScalingSolver) solveExactAt(ctx context.Context, n int64) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	return a.FindMissesCtx(ctx, s.sopt.Budget)
+	return a.solve(ctx, m, nil, degrade)
 }
+
+// errFitCut marks a fit the call's allowance cut short: the class is left
+// unfitted for this call (a later call may fit it) and its sizes fall
+// through.
+var errFitCut = errors.New("budget exhausted before the residue class was fitted")
 
 // fitResidue lazily builds (and caches) the closed form of one residue
 // class from exact sample solves. It is called with s.mu NOT held.
-func (s *ScalingSolver) fitResidue(ctx context.Context, r int64) (*residueFit, error) {
+func (s *ScalingSolver) fitResidue(ctx context.Context, m *budget.Meter, r int64) (*residueFit, error) {
 	s.mu.Lock()
-	if f, ok := s.fits[r]; ok {
-		s.mu.Unlock()
+	f, ok := s.fits[r]
+	s.mu.Unlock()
+	if ok {
 		return f, nil
 	}
-	s.mu.Unlock()
-
-	f, solves, err := s.fitResidueUncached(ctx, r)
-	if err != nil {
-		return nil, err // budget/cancellation: don't cache, don't fall back
+	if m.Err() != nil {
+		return nil, errFitCut // no allowance left to sample with
 	}
+	f, solves, err := s.fitResidueUncached(ctx, m, r)
 	s.mu.Lock()
-	if prev, ok := s.fits[r]; ok { // another goroutine won the race
-		s.mu.Unlock()
-		return prev, nil
-	}
-	s.fits[r] = f
 	s.stats.FitSolves += solves
+	if err == nil {
+		if prev, ok := s.fits[r]; ok { // another goroutine won the race
+			f = prev
+		} else {
+			s.fits[r] = f
+			mScalingFits.Inc()
+		}
+	}
 	s.mu.Unlock()
-	mScalingFits.Inc()
 	mScalingFitSolves.Add(solves)
-	return f, nil
+	return f, err
 }
 
 // needsFit reports whether any reference actually needs sampled fitting
@@ -515,18 +487,28 @@ func (s *ScalingSolver) needsFit() bool {
 	return false
 }
 
-func (s *ScalingSolver) fitResidueUncached(ctx context.Context, r int64) (*residueFit, int64, error) {
+// fitResidueUncached fits one residue class, pushing the fit window out
+// when the holdouts disagree. A cut allowance ends the fit at once
+// (errFitCut, not cached); a class that fails every window is cached as
+// refused.
+func (s *ScalingSolver) fitResidueUncached(ctx context.Context, m *budget.Meter, r int64) (*residueFit, int64, error) {
 	if !s.needsFit() {
-		return &residueFit{ok: true, base: s.sopt.MinN, refs: map[string]*refFit{}}, 0, nil
+		return &residueFit{ok: true, base: scalingMinN, refs: map[string]*refFit{}}, 0, nil
 	}
 	fitN := s.autoFitN()
 	var solves int64
 	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		f, n, err := s.tryFit(ctx, r, fitN)
+	for attempt := 0; attempt < fitAttempts; attempt++ {
+		f, n, err := s.tryFit(ctx, m, r, fitN)
 		solves += n
 		if err == nil {
 			return f, solves, nil
+		}
+		if merr := m.Err(); merr != nil {
+			if errors.Is(merr, cerr.ErrBudgetExceeded) {
+				return nil, solves, errFitCut
+			}
+			return nil, solves, merr
 		}
 		if ctx.Err() != nil {
 			return nil, solves, err
@@ -537,83 +519,57 @@ func (s *ScalingSolver) fitResidueUncached(ctx context.Context, r int64) (*resid
 	return &residueFit{ok: false, why: lastErr.Error()}, solves, nil
 }
 
-// tryFit samples degree+1+verify sizes of the class at and beyond fitN,
-// interpolates each non-cold reference's counters exactly and verifies
-// the holdout solves reproduce bit-for-bit. Pure-cold references are
-// cross-checked against their counting closed form instead.
-func (s *ScalingSolver) tryFit(ctx context.Context, r, fitN int64) (*residueFit, int64, error) {
-	nSamples := s.degree + 1 + s.sopt.Verify
-	base := fitN + mod64(r-fitN, s.period)
-	type sampleRep struct {
-		n   int64
-		rep *Report
-	}
+// tryFit samples degree+1+fitVerify sizes of the class at and beyond
+// fitN, fits each non-cold reference's counters through the shared
+// counter fit (which verifies the holdouts bit-for-bit), and cross-checks
+// the volume and pure-cold closed forms against every sample.
+func (s *ScalingSolver) tryFit(ctx context.Context, m *budget.Meter, r, fitN int64) (*residueFit, int64, error) {
+	nSamples := s.degree + 1 + fitVerify
+	base := fitN + qpoly.Mod(r-fitN, s.period)
 	var solves int64
-	samples := make([]sampleRep, 0, nSamples)
+	ns := make([]int64, 0, nSamples)
+	reps := make([]*Report, 0, nSamples)
 	for k := 0; k < nSamples; k++ {
 		n := base + int64(k)*s.period
-		rep, err := s.solveExactAt(ctx, n)
+		rep, err := s.solveAt(ctx, m, n, false)
 		solves++
 		if err != nil {
 			return nil, solves, err
 		}
-		samples = append(samples, sampleRep{n: n, rep: rep})
+		if err := m.Err(); err != nil {
+			return nil, solves, err
+		}
+		ns, reps = append(ns, n), append(reps, rep)
 	}
 
 	f := &residueFit{ok: true, base: base, refs: make(map[string]*refFit, len(s.refs))}
+	anchors := make([]*RefReport, len(reps))
 	for _, rs := range s.refs {
 		id := rs.ref.ID
-		var an, hi, co, re []qpoly.Sample
-		for _, sm := range samples {
-			rr := findRef(sm.rep, id)
-			if rr == nil || !rr.Complete || rr.Tier != TierExact {
-				return nil, solves, fmt.Errorf("sample solve at n=%d did not complete exactly for %s", sm.n, id)
+		for i, rep := range reps {
+			rr := findRef(rep, id)
+			if rr == nil || !census(rr) {
+				return nil, solves, fmt.Errorf("sample solve at n=%d did not complete exactly for %s", ns[i], id)
 			}
-			if vol, ok := rs.volume.EvalInt(sm.n); !ok || vol != rr.Volume {
+			if vol, ok := rs.volume.EvalInt(ns[i]); !ok || vol != rr.Volume {
 				return nil, solves, fmt.Errorf("volume polynomial of %s diverges at n=%d: poly %d, exact %d",
-					id, sm.n, vol, rr.Volume)
+					id, ns[i], vol, rr.Volume)
 			}
-			if rs.pureCold {
-				if rr.Hits != 0 || rr.Repl != 0 || rr.Cold != rr.Volume {
-					return nil, solves, fmt.Errorf("pure-cold closed form of %s diverges at n=%d", id, sm.n)
-				}
-				continue
+			if rs.pureCold && (rr.Hits != 0 || rr.Repl != 0 || rr.Cold != rr.Volume) {
+				return nil, solves, fmt.Errorf("pure-cold closed form of %s diverges at n=%d", id, ns[i])
 			}
-			an = append(an, qpoly.Sample{N: sm.n, V: linalg.RatInt(rr.Analyzed)})
-			hi = append(hi, qpoly.Sample{N: sm.n, V: linalg.RatInt(rr.Hits)})
-			co = append(co, qpoly.Sample{N: sm.n, V: linalg.RatInt(rr.Cold)})
-			re = append(re, qpoly.Sample{N: sm.n, V: linalg.RatInt(rr.Repl)})
+			anchors[i] = rr
 		}
 		if rs.pureCold {
 			continue
 		}
-		rf := &refFit{}
-		var err error
-		if rf.analyzed, err = fitCounter(s.degree, an); err != nil {
-			return nil, solves, fmt.Errorf("ref %s analyzed: %w", id, err)
-		}
-		if rf.hits, err = fitCounter(s.degree, hi); err != nil {
-			return nil, solves, fmt.Errorf("ref %s hits: %w", id, err)
-		}
-		if rf.cold, err = fitCounter(s.degree, co); err != nil {
-			return nil, solves, fmt.Errorf("ref %s cold: %w", id, err)
-		}
-		if rf.repl, err = fitCounter(s.degree, re); err != nil {
-			return nil, solves, fmt.Errorf("ref %s repl: %w", id, err)
+		rf, err := fitRef(s.degree, ns, anchors)
+		if err != nil {
+			return nil, solves, fmt.Errorf("ref %s: %w", id, err)
 		}
 		f.refs[id] = rf
 	}
 	return f, solves, nil
-}
-
-// fitCounter interpolates one counter as a plain polynomial (the residue
-// class is fixed, so the quasi-period is quotiented out).
-func fitCounter(deg int, samples []qpoly.Sample) (qpoly.QPoly, error) {
-	coef, err := qpoly.FitPoly(deg, samples)
-	if err != nil {
-		return qpoly.QPoly{}, err
-	}
-	return qpoly.New([][]linalg.Rat{coef}), nil
 }
 
 func findRef(rep *Report, id string) *RefReport {
@@ -625,67 +581,51 @@ func findRef(rep *Report, id string) *RefReport {
 	return nil
 }
 
-func mod64(n, m int64) int64 {
-	v := n % m
-	if v < 0 {
-		v += m
+// EvalClosedCtx evaluates the closed form at size n without ever solving
+// at n itself: it may spend fit solves (at small sample sizes, under one
+// allowance of the solver's budget) the first time a residue class is
+// touched, but never enumerates size n. ok reports whether the closed
+// form covers n; (nil, false, nil) means the caller should fall through.
+func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bool, error) {
+	rep, err := s.evalClosed(ctx, budget.NewMeter(ctx, s.budget), n)
+	if err == errFitCut {
+		err = nil
 	}
-	return v
+	return rep, rep != nil, err
 }
 
-// EvalClosedCtx evaluates the closed form at size n without ever solving
-// at n itself: it may spend fit solves (at small sample sizes) the first
-// time a residue class is touched, but never enumerates size n. ok
-// reports whether the closed form covers n; (nil, false, nil) means the
-// caller should fall through.
-func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bool, error) {
-	if !s.eligible || n < s.sopt.MinN {
-		return nil, false, nil
+// evalClosed is EvalClosedCtx on the call's allowance: nil when the closed
+// form does not cover n, with errFitCut when the allowance ran out before
+// n's residue class was fitted.
+func (s *ScalingSolver) evalClosed(ctx context.Context, m *budget.Meter, n int64) (*Report, error) {
+	if !s.eligible || n < scalingMinN {
+		return nil, nil
 	}
 	// Residue-class fits are anchored at or beyond the fit window
 	// (tryFit's base ≥ fitN), so when sampled fitting is needed no fit can
 	// ever cover a smaller n: refuse before spending fit solves that are
-	// guaranteed wasted. Pure-cold-only programs fit for free from MinN.
+	// guaranteed wasted. Pure-cold-only programs fit for free from
+	// scalingMinN.
 	if s.needsFit() && n < s.autoFitN() {
-		return nil, false, nil
+		return nil, nil
 	}
 	start := time.Now()
-	r := mod64(n, s.period)
-	fit, err := s.fitResidue(ctx, r)
-	if err != nil {
-		return nil, false, err
-	}
-	if !fit.ok || n < fit.base {
-		return nil, false, nil
+	fit, err := s.fitResidue(ctx, m, qpoly.Mod(n, s.period))
+	if err != nil || !fit.ok || n < fit.base {
+		return nil, err
 	}
 	rep := &Report{Config: s.cfg, Tier: TierExact,
 		Scaling: s.info(n, true, "")}
 	for _, rs := range s.refs {
 		vol, ok := rs.volume.EvalInt(n)
 		if !ok {
-			return nil, false, nil
+			return nil, nil
 		}
-		rr := &RefReport{Ref: rs.ref, Volume: vol, Tier: TierExact,
-			Complete: true, ClosedForm: true}
+		rr := &RefReport{Ref: rs.ref, Volume: vol}
 		if rs.pureCold {
-			rr.Analyzed, rr.Cold = vol, vol
-		} else {
-			rf := fit.refs[rs.ref.ID]
-			if rf == nil {
-				return nil, false, nil
-			}
-			var okA, okH, okC, okR bool
-			rr.Analyzed, okA = rf.analyzed.EvalInt(n)
-			rr.Hits, okH = rf.hits.EvalInt(n)
-			rr.Cold, okC = rf.cold.EvalInt(n)
-			rr.Repl, okR = rf.repl.EvalInt(n)
-			// A non-integer value or a broken count identity means the
-			// polynomial left its chamber: refuse rather than mispredict.
-			if !okA || !okH || !okC || !okR ||
-				rr.Analyzed != vol || rr.Hits+rr.Cold+rr.Repl != rr.Analyzed ||
-				rr.Hits < 0 || rr.Cold < 0 || rr.Repl < 0 {
-				return nil, false, nil
-			}
+			fillPureCold(rr)
+		} else if rf := fit.refs[rs.ref.ID]; rf == nil || !rf.fill(rr, n) {
+			return nil, nil
 		}
 		rep.Refs = append(rep.Refs, rr)
 	}
@@ -694,7 +634,7 @@ func (s *ScalingSolver) EvalClosedCtx(ctx context.Context, n int64) (*Report, bo
 	s.stats.ClosedEvals++
 	s.mu.Unlock()
 	mScalingEvals.Inc()
-	return rep, true, nil
+	return rep, nil
 }
 
 // info assembles the provenance block (called with s.mu not held).
@@ -716,33 +656,35 @@ func (s *ScalingSolver) info(n int64, closed bool, why string) *ScalingInfo {
 	st := s.Stats()
 	return &ScalingInfo{N: n, ClosedForm: closed,
 		ClosedFormRefs: closedRefs, TotalRefs: total, PureColdRefs: cold,
-		Period: s.period, Degree: s.degree, Residue: mod64(n, max64(s.period, 1)),
+		Period: s.period, Degree: s.degree, Residue: qpoly.Mod(n, s.period),
 		FitSolves: st.FitSolves, Why: why}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // EvalCtx answers one size: closed form when the ladder allows it,
 // otherwise graceful fall-through to the per-size exact solver (with the
 // fall-through recorded in the report's Scaling provenance).
 func (s *ScalingSolver) EvalCtx(ctx context.Context, n int64) (*Report, error) {
-	rep, ok, err := s.EvalClosedCtx(ctx, n)
-	if err != nil {
+	return s.eval(ctx, budget.NewMeter(ctx, s.budget), n)
+}
+
+// eval is EvalCtx on the call's allowance.
+func (s *ScalingSolver) eval(ctx context.Context, m *budget.Meter, n int64) (*Report, error) {
+	rep, err := s.evalClosed(ctx, m, n)
+	if err != nil && err != errFitCut {
 		return nil, err
 	}
-	if ok {
+	if rep != nil {
 		return rep, nil
 	}
 	why := s.why
-	if why == "" {
+	switch {
+	case why != "":
+	case err == errFitCut:
+		why = err.Error()
+	default:
 		why = s.fallbackWhy(n)
 	}
-	rep, err = s.solveExactAt(ctx, n)
+	rep, err = s.solveAt(ctx, m, n, true)
 	if rep != nil {
 		rep.Scaling = s.info(n, false, why)
 	}
@@ -754,11 +696,11 @@ func (s *ScalingSolver) EvalCtx(ctx context.Context, n int64) (*Report, error) {
 }
 
 func (s *ScalingSolver) fallbackWhy(n int64) string {
-	if n < s.sopt.MinN {
-		return fmt.Sprintf("n=%d below MinN=%d", n, s.sopt.MinN)
+	if n < scalingMinN {
+		return fmt.Sprintf("n=%d below the closed-form minimum %d", n, scalingMinN)
 	}
 	s.mu.Lock()
-	f := s.fits[mod64(n, s.period)]
+	f := s.fits[qpoly.Mod(n, s.period)]
 	s.mu.Unlock()
 	switch {
 	case f == nil:
@@ -770,12 +712,15 @@ func (s *ScalingSolver) fallbackWhy(n int64) string {
 	}
 }
 
-// SolveLadder answers a whole size ladder. Sizes sharing a residue class
-// mod Period share one fit; the reports come back index-aligned with ns.
+// SolveLadder answers a whole size ladder under one allowance of the
+// solver's budget. Sizes sharing a residue class mod Period share one
+// fit; sizes the allowance leaves unanswered degrade like SolveBatch
+// candidates. The reports come back index-aligned with ns.
 func (s *ScalingSolver) SolveLadder(ctx context.Context, ns []int64) ([]*Report, error) {
+	m := budget.NewMeter(ctx, s.budget)
 	out := make([]*Report, len(ns))
 	for i, n := range ns {
-		rep, err := s.EvalCtx(ctx, n)
+		rep, err := s.eval(ctx, m, n)
 		if err != nil {
 			return out, err
 		}

@@ -2,6 +2,8 @@ package cme
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 
 	"cachemodel/internal/cache"
@@ -298,5 +300,45 @@ func TestScalingLadderSharesFits(t *testing.T) {
 	}
 	if st.Fallbacks != 0 {
 		t.Fatalf("%d fallbacks on an in-class ladder", st.Fallbacks)
+	}
+}
+
+// TestScalingConcurrentLadders: one solver answering the same ladder from
+// several goroutines shares its residue fits and returns identical
+// reports to every caller.
+func TestScalingConcurrentLadders(t *testing.T) {
+	cfg := cache.Config{SizeBytes: 256, LineBytes: 32, Assoc: 1}
+	s, err := PrepareScaling(famOf(stencil1D), cfg, Options{}, ScalingOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := []int64{256, 288, 320, 352}
+	const callers = 4
+	reps := make([][]*Report, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			reps[g], errs[g] = s.SolveLadder(context.Background(), ns)
+		}(g)
+	}
+	wg.Wait()
+	for g := 0; g < callers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		for i, rep := range reps[g] {
+			if rep == nil || !rep.Scaling.ClosedForm {
+				t.Fatalf("caller %d: size %d fell through", g, ns[i])
+			}
+			if g > 0 {
+				sameCounts(t, fmt.Sprintf("caller %d n=%d", g, ns[i]), reps[0][i], rep)
+			}
+		}
+	}
+	if st := s.Stats(); st.ResiduesFitted != 1 || st.Fallbacks != 0 {
+		t.Fatalf("stats %+v, want one shared residue fit and no fallbacks", st)
 	}
 }

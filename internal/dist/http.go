@@ -353,31 +353,3 @@ func (cl *Client) Report(ctx context.Context, id string) (*MergedReport, error) 
 	}
 	return &rep, nil
 }
-
-// WaitDone polls until the sweep finishes (nil), fails (error), or ctx
-// ends.
-func (cl *Client) WaitDone(ctx context.Context, id string, poll time.Duration) error {
-	if poll <= 0 {
-		poll = 250 * time.Millisecond
-	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
-	for {
-		st, err := cl.SweepStatus(ctx, id)
-		if err == nil {
-			if st.Failed != "" {
-				return fmt.Errorf("sweep %.12s: %s", id, st.Failed)
-			}
-			if st.Done {
-				return nil
-			}
-		} else if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
-}

@@ -65,38 +65,6 @@ func (sp *Space) CountWith(t Tile, extra []ir.NConstraint) int64 {
 	return c.count(0, *ip)
 }
 
-// CountUnion returns the exact number of points of the space inside the
-// tile satisfying at least one of the constraint systems, by
-// inclusion–exclusion over the systems. The cost is exponential in
-// len(systems); callers keep the union small.
-func (sp *Space) CountUnion(t Tile, systems [][]ir.NConstraint) int64 {
-	if len(systems) == 0 {
-		return 0
-	}
-	if len(systems) > 20 {
-		panic("poly: CountUnion over too many systems")
-	}
-	var total int64
-	var merged []ir.NConstraint
-	for mask := 1; mask < 1<<len(systems); mask++ {
-		merged = merged[:0]
-		bits := 0
-		for i, sys := range systems {
-			if mask&(1<<i) != 0 {
-				bits++
-				merged = append(merged, sys...)
-			}
-		}
-		n := sp.CountWith(t, merged)
-		if bits%2 == 1 {
-			total += n
-		} else {
-			total -= n
-		}
-	}
-	return total
-}
-
 // counter is the state of one CountWith call.
 type counter struct {
 	sp      *Space

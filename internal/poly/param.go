@@ -74,54 +74,16 @@ func (ps *ParamSpace) At(n int64) *Space {
 	return New(bounds, guards)
 }
 
-// FitOptions tunes parametric counting. The zero value asks for automatic
-// choices throughout.
-type FitOptions struct {
-	// Period is the initial coefficient-period guess; 0 derives it from
-	// the index coefficients. A failing verification doubles it.
-	Period int64
-	// Degree bounds the per-residue polynomial degree; 0 uses the space
-	// depth (the Ehrhart maximum).
-	Degree int
-	// MinN is the smallest parameter value the result must cover
-	// (default 1). Sizes in [MinN, fit window) are covered by explicit
-	// per-point chambers.
-	MinN int64
-	// FitN is the start of the polynomial tail chamber; 0 derives it from
-	// the constants (all chamber breakpoints lie below it). A failing
-	// verification doubles it.
-	FitN int64
-	// Verify is the number of extra holdout samples per residue class that
-	// the fitted polynomial must reproduce exactly (default 2).
-	Verify int
-}
-
-// Caps for the escalation loop: beyond these the space is declared
-// non-quasi-polynomial over the sampled range.
+// Fit shape: every residue class is fitted at degree Depth (the Ehrhart
+// maximum) and must reproduce fitVerify further holdout samples exactly.
+// The escalation loop gives up past maxFitPeriod and maxFitBase: beyond
+// them the space is declared non-quasi-polynomial over the sampled range.
 const (
+	fitVerify    = 2
 	maxFitPeriod = 256
 	maxFitBase   = 1 << 13
 	maxSmallN    = 1 << 12 // explicit per-point chambers below the tail
 )
-
-func (o FitOptions) withDefaults(ps *ParamSpace) FitOptions {
-	if o.MinN == 0 {
-		o.MinN = 1
-	}
-	if o.Verify == 0 {
-		o.Verify = 2
-	}
-	if o.Degree == 0 {
-		o.Degree = ps.Depth
-	}
-	if o.Period == 0 {
-		o.Period = ps.autoPeriod()
-	}
-	if o.FitN == 0 {
-		o.FitN = ps.autoFitBase(o)
-	}
-	return o
-}
 
 // autoPeriod guesses the coefficient period: quasi-periodic behaviour
 // enters through floor/ceil divisions by index coefficients, so the lcm
@@ -150,7 +112,7 @@ func (ps *ParamSpace) autoPeriod() int64 {
 // autoFitBase places the polynomial tail beyond the chamber breakpoints,
 // which are governed by the affine constants: past max|const| (plus a
 // period of slack) the relative order of the bound expressions is fixed.
-func (ps *ParamSpace) autoFitBase(o FitOptions) int64 {
+func (ps *ParamSpace) autoFitBase(period, minN int64) int64 {
 	var m int64
 	acc := func(pa ParamAffine) {
 		if c := abs(pa.Base.Const); c > m {
@@ -164,9 +126,9 @@ func (ps *ParamSpace) autoFitBase(o FitOptions) int64 {
 	for _, g := range ps.Guards {
 		acc(g.Expr)
 	}
-	base := 2*m + 2*o.Period + int64(ps.Depth) + 2
-	if base < o.MinN {
-		base = o.MinN
+	base := 2*m + 2*period + int64(ps.Depth) + 2
+	if base < minN {
+		base = minN
 	}
 	return base
 }
@@ -179,54 +141,39 @@ func abs(x int64) int64 {
 }
 
 // CountPoly returns the tile's point count as a piecewise quasi-polynomial
-// of the parameter, valid for every n ≥ opt.MinN.
-func (ps *ParamSpace) CountPoly(t Tile, opt FitOptions) (qpoly.Piecewise, error) {
-	return ps.fit(func(n int64) int64 { return ps.At(n).CountTile(t) }, opt)
+// of the parameter, valid for every n ≥ minN.
+func (ps *ParamSpace) CountPoly(t Tile, minN int64) (qpoly.Piecewise, error) {
+	return ps.fit(func(n int64) int64 { return ps.At(n).CountTile(t) }, minN)
 }
 
 // CountWithPoly is the parametric CountWith: the count of tile points
 // additionally satisfying every constraint in extra, as a piecewise
-// quasi-polynomial of the parameter.
-func (ps *ParamSpace) CountWithPoly(t Tile, extra []ParamConstraint, opt FitOptions) (qpoly.Piecewise, error) {
+// quasi-polynomial of the parameter valid for every n ≥ minN.
+func (ps *ParamSpace) CountWithPoly(t Tile, extra []ParamConstraint, minN int64) (qpoly.Piecewise, error) {
 	return ps.fit(func(n int64) int64 {
 		sys := make([]ir.NConstraint, len(extra))
 		for i, g := range extra {
 			sys[i] = g.At(n)
 		}
 		return ps.At(n).CountWith(t, sys)
-	}, opt)
-}
-
-// CountUnionPoly is the parametric CountUnion: the count of tile points
-// satisfying at least one of the constraint systems.
-func (ps *ParamSpace) CountUnionPoly(t Tile, systems [][]ParamConstraint, opt FitOptions) (qpoly.Piecewise, error) {
-	return ps.fit(func(n int64) int64 {
-		inst := make([][]ir.NConstraint, len(systems))
-		for i, sys := range systems {
-			cs := make([]ir.NConstraint, len(sys))
-			for j, g := range sys {
-				cs[j] = g.At(n)
-			}
-			inst[i] = cs
-		}
-		return ps.At(n).CountUnion(t, inst)
-	}, opt)
+	}, minN)
 }
 
 // fit recovers eval as a piecewise quasi-polynomial: a polynomial tail
 // chamber fitted per residue class and verified against holdout samples,
-// plus explicit per-point chambers covering the small sizes below the
+// plus explicit per-point chambers covering the sizes from minN up to the
 // tail. A verification failure escalates — first pushing the tail start
 // outward (the breakpoint guess was too low), then doubling the period —
 // before giving up.
-func (ps *ParamSpace) fit(eval func(n int64) int64, opt FitOptions) (qpoly.Piecewise, error) {
-	opt = opt.withDefaults(ps)
-	period, fitN := opt.Period, opt.FitN
+func (ps *ParamSpace) fit(eval func(n int64) int64, minN int64) (qpoly.Piecewise, error) {
+	period := ps.autoPeriod()
+	baseN := ps.autoFitBase(period, minN)
+	fitN := baseN
 	var lastErr error
 	for {
-		q, err := fitTail(eval, period, opt.Degree, fitN, opt.Verify)
+		q, err := fitTail(eval, period, ps.Depth, fitN)
 		if err == nil {
-			return assemble(eval, q, opt.MinN, fitN)
+			return assemble(eval, q, minN, fitN)
 		}
 		lastErr = err
 		switch {
@@ -234,7 +181,7 @@ func (ps *ParamSpace) fit(eval func(n int64) int64, opt FitOptions) (qpoly.Piece
 			fitN *= 2
 		case period < maxFitPeriod:
 			period *= 2
-			fitN = opt.FitN
+			fitN = baseN
 		default:
 			return qpoly.Piecewise{}, fmt.Errorf("poly: count is not quasi-polynomial up to period %d, base %d: %w",
 				period, fitN, lastErr)
@@ -243,25 +190,17 @@ func (ps *ParamSpace) fit(eval func(n int64) int64, opt FitOptions) (qpoly.Piece
 }
 
 // fitTail fits one quasi-polynomial with the given period and degree from
-// samples at the first deg+1+verify sizes ≥ fitN of every residue class.
-func fitTail(eval func(n int64) int64, period int64, deg int, fitN int64, verify int) (qpoly.QPoly, error) {
+// samples at the first deg+1+fitVerify sizes ≥ fitN of every residue class.
+func fitTail(eval func(n int64) int64, period int64, deg int, fitN int64) (qpoly.QPoly, error) {
 	var samples []qpoly.Sample
 	for r := int64(0); r < period; r++ {
-		n := fitN + mod(r-fitN, period)
-		for k := 0; k < deg+1+verify; k++ {
+		n := fitN + qpoly.Mod(r-fitN, period)
+		for k := 0; k < deg+1+fitVerify; k++ {
 			samples = append(samples, qpoly.Sample{N: n, V: linalg.RatInt(eval(n))})
 			n += period
 		}
 	}
 	return qpoly.Fit(period, deg, samples)
-}
-
-func mod(n, m int64) int64 {
-	r := n % m
-	if r < 0 {
-		r += m
-	}
-	return r
 }
 
 // assemble glues the verified tail to explicit per-point chambers for the

@@ -44,7 +44,7 @@ func FuzzQPolyVsEnumerate(f *testing.F) {
 		}
 		ps := NewParamSpace(bounds, guards)
 
-		pw, err := ps.CountPoly(FullTile(), FitOptions{})
+		pw, err := ps.CountPoly(FullTile(), 1)
 		if err != nil {
 			// A degenerate family (e.g. always empty past the cap) is a
 			// legitimate refusal, not a soundness bug.

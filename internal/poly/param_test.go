@@ -55,7 +55,7 @@ func checkAgainstEnumeration(t *testing.T, ps *ParamSpace, extra []ParamConstrai
 }
 
 func TestCountPolySquare(t *testing.T) {
-	pw, err := paramSquare().CountPoly(FullTile(), FitOptions{})
+	pw, err := paramSquare().CountPoly(FullTile(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestCountPolySquare(t *testing.T) {
 }
 
 func TestCountPolyTriangle(t *testing.T) {
-	pw, err := paramTriangle().CountPoly(FullTile(), FitOptions{})
+	pw, err := paramTriangle().CountPoly(FullTile(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCountWithPolyQuasi(t *testing.T) {
 	extra := []ParamConstraint{{Expr: ParamAffine{
 		Base: ir.Affine{Coeff: []int64{-2}}, N: 1,
 	}}}
-	pw, err := paramSquare().CountWithPoly(FullTile(), extra, FitOptions{})
+	pw, err := paramSquare().CountWithPoly(FullTile(), extra, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,32 +98,12 @@ func TestCountWithPolyQuasi(t *testing.T) {
 	}
 }
 
-func TestCountUnionPoly(t *testing.T) {
-	// Union of {I1 ≤ 3} and {I2 ≤ 3} inside [1,n]²: 3n + 3n − 9 for n ≥ 3.
-	sysA := []ParamConstraint{{Expr: ParamAffine{Base: ir.Affine{Const: 3, Coeff: []int64{-1}}}}}
-	sysB := []ParamConstraint{{Expr: ParamAffine{Base: ir.Affine{Const: 3, Coeff: []int64{0, -1}}}}}
-	pw, err := paramSquare().CountUnionPoly(FullTile(), [][]ParamConstraint{sysA, sysB}, FitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := int64(3); n <= 25; n++ {
-		got, ok := pw.EvalInt(n)
-		if !ok || got != 6*n-9 {
-			t.Fatalf("union at %d: %d (ok=%v), want %d", n, got, ok, 6*n-9)
-		}
-	}
-	// Small-n chambers (n < 3) come from explicit evaluation.
-	if got, _ := pw.EvalInt(2); got != 4 {
-		t.Fatalf("union at 2: %d, want 4", got)
-	}
-}
-
 // TestCountPolyBitIdentityAtFixedN pins the parametric path to the exact
 // counter at fixed sizes, including non-powers of two and sizes inside
 // the explicit small-n chambers.
 func TestCountPolyBitIdentityAtFixedN(t *testing.T) {
 	ps := paramTriangle()
-	pw, err := ps.CountPoly(FullTile(), FitOptions{})
+	pw, err := ps.CountPoly(FullTile(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func Fit(period int64, deg int, samples []Sample) (QPoly, error) {
 	}
 	byRes := make(map[int64][]Sample)
 	for _, s := range samples {
-		byRes[mod(s.N, period)] = append(byRes[mod(s.N, period)], s)
+		byRes[Mod(s.N, period)] = append(byRes[Mod(s.N, period)], s)
 	}
 	rows := make([][]linalg.Rat, period)
 	for r := int64(0); r < period; r++ {

@@ -91,8 +91,8 @@ func (q QPoly) Degree() int {
 // IsZero reports whether q is identically zero.
 func (q QPoly) IsZero() bool { return q.Degree() < 0 }
 
-// mod returns the representative of n modulo m in [0, m).
-func mod(n, m int64) int64 {
+// Mod returns the representative of n modulo m in [0, m) (floor mod).
+func Mod(n, m int64) int64 {
 	r := n % m
 	if r < 0 {
 		r += m
@@ -105,7 +105,7 @@ func (q QPoly) row(n int64) []linalg.Rat {
 	if len(q.coef) == 0 {
 		return nil
 	}
-	return q.coef[mod(n, q.period)]
+	return q.coef[Mod(n, q.period)]
 }
 
 // Eval returns q(n) as an exact rational, by Horner evaluation of the
@@ -237,7 +237,7 @@ func (q QPoly) Canon() QPoly {
 		}
 		ok := true
 		for r := int64(0); r < L && ok; r++ {
-			ok = rowsEqual(rows[r], rows[mod(r, m)])
+			ok = rowsEqual(rows[r], rows[Mod(r, m)])
 		}
 		if ok {
 			out := make([][]linalg.Rat, m)

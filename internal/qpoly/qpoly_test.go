@@ -117,7 +117,7 @@ func TestFitPolyExactAndVerify(t *testing.T) {
 func TestFitQuasiPolynomial(t *testing.T) {
 	// f(n) = n²/4 for even n, (n²−1)/4 for odd n (= ⌊n²/4⌋): period 2,
 	// degree 2. Sample each residue at 4 points (3 fit + 1 verify).
-	f := func(n int64) linalg.Rat { return rat(n*n-mod(n, 2), 4) }
+	f := func(n int64) linalg.Rat { return rat(n*n-Mod(n, 2), 4) }
 	var ss []Sample
 	for n := int64(10); n < 18; n++ {
 		ss = append(ss, Sample{N: n, V: f(n)})

@@ -77,13 +77,10 @@ func (o *Options) specFromScaling(req *ScalingRequest) (*jobSpec, error) {
 			return nil, err
 		}
 	}
-	if len(ns) > o.MaxCandidates {
-		return nil, fmt.Errorf("ladder of %d sizes exceeds the server limit %d", len(ns), o.MaxCandidates)
+	if err := spec.CheckLadder(ns, o.MaxCandidates); err != nil {
+		return nil, err
 	}
 	for _, n := range ns {
-		if n < 1 {
-			return nil, fmt.Errorf("ladder size %d must be positive", n)
-		}
 		if n > o.MaxProblemSize {
 			return nil, fmt.Errorf("ladder size %d exceeds the server limit %d", n, o.MaxProblemSize)
 		}
@@ -148,9 +145,10 @@ func scalingKey(label, source string, consts map[string]int64, sizeConst string,
 }
 
 // solveScaling is the flight leader's body for a scaling job: one
-// symbolic lift, then the ladder. Budget semantics: the job budget meters
-// every internal exact solve (fit samples and fall-through sizes), so a
-// tight budget degrades per size instead of stalling the worker.
+// symbolic lift, then the ladder. Budget semantics: the job budget is one
+// allowance for the whole ladder, shared by every internal exact solve
+// (fit samples and fall-through sizes), so a tight budget degrades the
+// sizes it cannot reach instead of stalling the worker.
 func (s *Server) solveScaling(ctx context.Context, col *obs.Collector, spec *jobSpec, bud budget.Budget) (out *solveOutcome) {
 	defer func() {
 		if r := recover(); r != nil {

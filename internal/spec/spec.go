@@ -342,3 +342,20 @@ func Ladder(from, to, step int64, maxCount int) ([]int64, error) {
 	}
 	return ns, nil
 }
+
+// CheckLadder validates an explicit size ladder: at least one size, at
+// most maxCount of them, and every size positive.
+func CheckLadder(ns []int64, maxCount int) error {
+	if len(ns) == 0 {
+		return fmt.Errorf("empty size ladder")
+	}
+	if len(ns) > maxCount {
+		return fmt.Errorf("ladder of %d sizes exceeds the limit %d", len(ns), maxCount)
+	}
+	for _, n := range ns {
+		if n < 1 {
+			return fmt.Errorf("ladder size %d must be positive", n)
+		}
+	}
+	return nil
+}

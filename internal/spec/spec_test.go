@@ -288,3 +288,24 @@ func TestLadder(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckLadder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ns   []int64
+		max  int
+		err  string
+	}{
+		{"plain", []int64{64, 7, 128}, 4, ""},
+		{"at the cap", []int64{1, 2}, 2, ""},
+		{"over the cap", []int64{1, 2, 3}, 2, "ladder of 3 sizes exceeds the limit 2"},
+		{"empty", nil, 4, "empty size ladder"},
+		{"zero", []int64{64, 0}, 4, "ladder size 0 must be positive"},
+		{"negative", []int64{-3}, 4, "ladder size -3 must be positive"},
+	} {
+		err := CheckLadder(tc.ns, tc.max)
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.err)
+		}
+	}
+}

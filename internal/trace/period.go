@@ -1,49 +1,19 @@
 package trace
 
-// Address-plan periodicity helpers. A reference whose linearised address
-// advances by a fixed stride c along one loop dimension revisits the same
-// line offset every LineWrapPeriod iterations and the same cache set every
-// SetWrapPeriod iterations: translating the iteration by a multiple of the
-// period shifts every address by a multiple of the line (resp. way) size,
-// which moves whole memory lines without changing any line-relative or
-// set-relative relation. The symbolic solver uses these periods to
-// classify one period of a dimension and replicate the verdicts across
-// the rest.
+import "cachemodel/internal/linalg"
 
-// Gcd returns the greatest common divisor of two non-negative int64s
-// (gcd(0, b) = b).
-func Gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
+// Address-plan periodicity. A reference whose linearised address advances
+// by a fixed stride c along one loop dimension revisits the same line
+// offset every LineWrapPeriod iterations: translating the iteration by a
+// multiple of the period shifts every address by whole memory lines,
+// which changes no line-relative relation. The symbolic solver uses this
+// period to classify one period of a dimension and replicate the verdicts
+// across the rest.
 
 // LineWrapPeriod returns the smallest t > 0 such that stride·t is a
 // multiple of lineBytes: translating an access by t iterations along the
 // strided dimension shifts its address by whole memory lines. A zero
 // stride yields period 1 (the address does not move at all).
 func LineWrapPeriod(stride, lineBytes int64) int64 {
-	if stride < 0 {
-		stride = -stride
-	}
-	if stride == 0 {
-		return 1
-	}
-	return lineBytes / Gcd(stride, lineBytes)
-}
-
-// SetWrapPeriod returns the smallest t > 0 such that stride·t is a
-// multiple of numSets·lineBytes (the way size): translating by t
-// iterations maps every memory line to another line in the same cache
-// set. It is always a multiple of LineWrapPeriod.
-func SetWrapPeriod(stride, lineBytes, numSets int64) int64 {
-	if stride < 0 {
-		stride = -stride
-	}
-	if stride == 0 {
-		return 1
-	}
-	way := lineBytes * numSets
-	return way / Gcd(stride, way)
+	return lineBytes / linalg.GCD(stride, lineBytes)
 }
